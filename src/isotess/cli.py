@@ -1,11 +1,13 @@
 """Command-line front door.
 
 Analysis commands read a graph interchange file and write one report
-record; generator commands write interchange files.  Identical inputs and
-budgets produce byte-identical reports regardless of --workers.
+record; generator commands write interchange files.  Each command takes
+only the flags it reads.  Enumeration runs in one process; ``--workers``
+is accepted by alpha and compare but changes nothing, so identical inputs
+and budgets produce byte-identical reports.
 
-Exit codes: 0 success, 2 validation violations / failed preconditions,
-3 enumeration budget exhausted, 4 malformed input or I/O error.
+Exit codes: 0 success, 2 validation violations / failed preconditions /
+usage errors, 3 enumeration budget exhausted, 4 malformed input or I/O error.
 """
 
 from __future__ import annotations
@@ -40,13 +42,19 @@ EXIT_BUDGET = 3
 EXIT_MALFORMED = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget-edges", type=int, default=6, metavar="N")
-    parser.add_argument("--budget-generators", type=int, default=4, metavar="N")
-    parser.add_argument("--max-yield", type=int, default=2_000_000, metavar="N")
-    parser.add_argument("--tolerance", type=float, default=1e-12, metavar="X")
-    parser.add_argument("--workers", type=int, default=1, metavar="N")
-    parser.add_argument("--output", type=str, default=None, metavar="PATH")
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# commands that enumerate, and those of them that accept --workers
+_BUDGETED = ("bounds", "alpha", "comb-alpha", "compare")
+_WORKERS = ("alpha", "compare")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +79,20 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "validate":
             p.add_argument("--mode", choices=("auto", "finite", "truncation"),
                            default="auto")
-        _add_common(p)
+        if name in _BUDGETED:
+            p.add_argument("--budget-edges", type=_positive_int, default=6,
+                           metavar="N")
+            p.add_argument("--budget-generators", type=_positive_int, default=4,
+                           metavar="N")
+            p.add_argument("--max-yield", type=_positive_int, default=2_000_000,
+                           metavar="N")
+            p.add_argument("--tolerance", type=float, default=1e-12, metavar="X")
+        if name in _WORKERS:
+            p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
+                           help="accepted for compatibility; enumeration runs "
+                                "in one process and the result does not "
+                                "depend on it")
+        p.add_argument("--output", type=str, default=None, metavar="PATH")
 
     gen = sub.add_parser("gen", help="generate a family graph file")
     gensub = gen.add_subparsers(dest="family", required=True)
@@ -248,17 +269,21 @@ def _cmd_alpha(args) -> int:
     return EXIT_OK
 
 
-def _cmd_comb_alpha(args) -> int:
-    g, record, data = _load(args.input)
-    budget = _budget(args)
+def _comb_result(g: MetricGraph, record: dict, budget: Budget) -> dict:
     res = alpha_comb_upper_bruteforce(g, budget)
     closed = families.family_comb_closed_form(record.get("family"))
-    result = {
+    return {
         "best_upper": value_json(res.value),
         "witness_vertices": list(res.witness_vertices),
         "enumerated": res.enumerated,
         "closed_form": value_json(closed) if closed is not None else None,
     }
+
+
+def _cmd_comb_alpha(args) -> int:
+    g, record, data = _load(args.input)
+    budget = _budget(args)
+    result = _comb_result(g, record, budget)
     report = reports.make_report("comb-alpha", result, input_bytes=data,
                                  family=record.get("family"),
                                  budget=_budget_json(budget),
@@ -309,17 +334,10 @@ def compare_records(alpha_result: dict, comb_result: dict,
 def _cmd_compare(args) -> int:
     g, record, data = _load(args.input)
     budget = _budget(args)
-    bracket = _alpha_bracket_for(g, record, budget, args.workers)
-    comb = alpha_comb_upper_bruteforce(g, budget)
-    closed = families.family_comb_closed_form(record.get("family"))
-    alpha_result = reports.bracket_json(bracket)
-    comb_result = {
-        "best_upper": value_json(comb.value),
-        "witness_vertices": list(comb.witness_vertices),
-        "enumerated": comb.enumerated,
-        "closed_form": value_json(closed) if closed is not None else None,
-    }
-    result = compare_records(alpha_result, comb_result, record, args.tolerance)
+    alpha_result = reports.bracket_json(
+        _alpha_bracket_for(g, record, budget, args.workers))
+    result = compare_records(alpha_result, _comb_result(g, record, budget),
+                             record, args.tolerance)
     report = reports.make_report("compare", result, input_bytes=data,
                                  family=record.get("family"),
                                  budget=_budget_json(budget),

@@ -117,7 +117,7 @@ def vertex_curvature(g: MetricGraph, v: int) -> Fraction:
     """
     if v in g.frontier_vertices:
         raise FrontierContact(f"vertex {v} is a frontier vertex")
-    value = Fraction(1) - Fraction(g.embedding.degree(v), 2)
+    value = Fraction(1) - Fraction(g.degree(v), 2)
     for e in g.rotation[v]:
         tile = g.tile_of((e, v))
         if tile.status == INDETERMINATE:
@@ -160,7 +160,7 @@ def global_constants(g: MetricGraph) -> CurvatureReport:
     for v in free_vertices:
         ratio = weights[v] / min(g.length[e] for e in g.rotation[v])
         M = ratio if M is None else max(M, ratio)
-        d = g.embedding.degree(v)
+        d = g.degree(v)
         deg_star = d if deg_star is None else max(deg_star, d)
 
     perims: dict[int, Extended | None] = {}

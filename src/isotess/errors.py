@@ -85,7 +85,3 @@ class OutOfRange(GraphError):
 
 class NonPositiveEllMin(GraphError):
     pass
-
-
-class MissingAnalysis(GraphError):
-    """compare() called before both analyses completed."""

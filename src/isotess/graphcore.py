@@ -63,19 +63,29 @@ class Tile:
 
 
 @dataclass(frozen=True)
-class EmbeddedGraph:
+class MetricGraph:
+    """Rotation system, edge lengths and traced tiles of one graph.
+
+    ``vertices`` and ``edges`` are the sorted ids; ``true_degree`` is None
+    for frontier vertices whose degree in the full graph is unknown.
+    """
+
     rotation: Mapping[int, tuple[int, ...]]
     edge_ends: Mapping[int, tuple[int, int]]
     frontier_vertices: frozenset[int]
     true_degree: Mapping[int, int | None]
+    length: Mapping[int, Fraction]
+    tiles: tuple[Tile, ...]
+    dart_tile: Mapping[Dart, int]
+    vertices: tuple[int, ...]
+    edges: tuple[int, ...]
 
     @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rotation))
+    def is_frontier_free(self) -> bool:
+        return not self.frontier_vertices
 
-    @property
-    def edges(self) -> tuple[int, ...]:
-        return tuple(sorted(self.edge_ends))
+    def degree(self, v: int) -> int:
+        return len(self.rotation[v])
 
     def other_end(self, edge: int, v: int) -> int:
         a, b = self.edge_ends[edge]
@@ -85,51 +95,8 @@ class EmbeddedGraph:
             return a
         raise KeyError(f"vertex {v} not on edge {edge}")
 
-    def degree(self, v: int) -> int:
-        return len(self.rotation[v])
-
-
-@dataclass(frozen=True)
-class MetricGraph:
-    embedding: EmbeddedGraph
-    length: Mapping[int, Fraction]
-    tiles: tuple[Tile, ...]
-    dart_tile: Mapping[Dart, int]
-
-    # --- delegation helpers ---------------------------------------------
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.embedding.vertices
-
-    @property
-    def edges(self) -> tuple[int, ...]:
-        return self.embedding.edges
-
-    @property
-    def rotation(self) -> Mapping[int, tuple[int, ...]]:
-        return self.embedding.rotation
-
-    @property
-    def edge_ends(self) -> Mapping[int, tuple[int, int]]:
-        return self.embedding.edge_ends
-
-    @property
-    def frontier_vertices(self) -> frozenset[int]:
-        return self.embedding.frontier_vertices
-
-    @property
-    def true_degree(self) -> Mapping[int, int | None]:
-        return self.embedding.true_degree
-
-    @property
-    def is_frontier_free(self) -> bool:
-        return not self.embedding.frontier_vertices
-
-    def other_end(self, edge: int, v: int) -> int:
-        return self.embedding.other_end(edge, v)
-
     def darts_of(self, edge: int) -> tuple[Dart, Dart]:
-        a, b = self.embedding.edge_ends[edge]
+        a, b = self.edge_ends[edge]
         return (edge, a), (edge, b)
 
     def tile_of(self, dart: Dart) -> Tile:
@@ -137,12 +104,12 @@ class MetricGraph:
 
     def frontier_free_edges(self) -> list[int]:
         """Edges with both endpoints outside the frontier."""
-        fr = self.embedding.frontier_vertices
+        fr = self.frontier_vertices
         return [e for e in self.edges
                 if self.edge_ends[e][0] not in fr and self.edge_ends[e][1] not in fr]
 
     def frontier_free_vertices(self) -> list[int]:
-        fr = self.embedding.frontier_vertices
+        fr = self.frontier_vertices
         return [v for v in self.vertices if v not in fr]
 
 
@@ -161,9 +128,6 @@ class SubgraphSelection:
     @property
     def ratio(self) -> Fraction:
         return Fraction(self.boundary_degree) / self.measure
-
-    def canonical_edges(self) -> tuple[int, ...]:
-        return tuple(sorted(self.edges))
 
 
 @dataclass(frozen=True)
@@ -232,45 +196,47 @@ def build_graph(record: Mapping) -> MetricGraph:
     """Validate an interchange record and construct the metric graph.
 
     See the module docstring of :mod:`isotess.interchange` for the record
-    layout.  Construction is deterministic given the record.
+    layout.  Construction is deterministic given the record; a missing
+    field or a value of the wrong shape raises InputFormatError.
     """
-    try:
-        vertex_items = list(record["vertices"])
-        edge_items = list(record["edges"])
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"missing field: {exc}") from exc
-
     rotation: dict[int, tuple[int, ...]] = {}
-    for item in vertex_items:
-        vid = int(item["id"])
-        if vid in rotation:
-            raise InputFormatError(f"duplicate vertex id {vid}")
-        rotation[vid] = tuple(int(e) for e in item["rotation"])
-
     edge_ends: dict[int, tuple[int, int]] = {}
     length: dict[int, Fraction] = {}
     pair_seen: set[tuple[int, int]] = set()
-    for item in edge_items:
-        eid = int(item["id"])
-        if eid in edge_ends:
-            raise InputFormatError(f"duplicate edge id {eid}")
-        a, b = (int(x) for x in item["ends"])
-        if a == b:
-            raise NonSimple(f"edge {eid} is a loop at vertex {a}")
-        if a not in rotation or b not in rotation:
-            raise InputFormatError(f"edge {eid} references unknown vertex")
-        pair = (min(a, b), max(a, b))
-        if pair in pair_seen:
-            raise NonSimple(f"parallel edge {eid} between {a} and {b}")
-        pair_seen.add(pair)
-        edge_ends[eid] = (a, b)
-        try:
+    try:
+        for item in record["vertices"]:
+            vid = int(item["id"])
+            if vid in rotation:
+                raise InputFormatError(f"duplicate vertex id {vid}")
+            rotation[vid] = tuple(int(e) for e in item["rotation"])
+
+        for item in record["edges"]:
+            eid = int(item["id"])
+            if eid in edge_ends:
+                raise InputFormatError(f"duplicate edge id {eid}")
+            a, b = (int(x) for x in item["ends"])
+            if a == b:
+                raise NonSimple(f"edge {eid} is a loop at vertex {a}")
+            if a not in rotation or b not in rotation:
+                raise InputFormatError(f"edge {eid} references unknown vertex")
+            pair = (min(a, b), max(a, b))
+            if pair in pair_seen:
+                raise NonSimple(f"parallel edge {eid} between {a} and {b}")
+            pair_seen.add(pair)
+            edge_ends[eid] = (a, b)
             ell = parse_rational(item["length"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"edge {eid}: bad length {item['length']!r}") from exc
-        if ell <= 0:
-            raise NonPositiveLength(f"edge {eid} has length {ell}")
-        length[eid] = ell
+            if ell <= 0:
+                raise NonPositiveLength(f"edge {eid} has length {ell}")
+            length[eid] = ell
+
+        frontier = frozenset(int(v) for v in record.get("frontier_vertices", ()))
+        declared = {int(k): int(v) for k, v in record.get("true_degree", {}).items()}
+        face_reps = [(int(e), int(h)) for e, h in record.get("unbounded_face_reps", ())]
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise InputFormatError(f"malformed record: {exc!r}") from exc
+    if not rotation:
+        raise InputFormatError("record has no vertices")
 
     # rotation lists must be permutations of the incident edges
     incident: dict[int, set[int]] = {v: set() for v in rotation}
@@ -300,10 +266,8 @@ def build_graph(record: Mapping) -> MetricGraph:
     if len(seen) != len(verts):
         raise Disconnected(f"{len(verts) - len(seen)} vertices unreachable")
 
-    frontier = frozenset(int(v) for v in record.get("frontier_vertices", ()))
     if not frontier <= set(rotation):
         raise InputFormatError("frontier lists unknown vertex")
-    declared = {int(k): int(v) for k, v in record.get("true_degree", {}).items()}
     true_degree: dict[int, int | None] = {}
     for v in rotation:
         visible = len(rotation[v])
@@ -322,13 +286,6 @@ def build_graph(record: Mapping) -> MetricGraph:
         else:
             true_degree[v] = visible if v not in frontier else None
 
-    embedding = EmbeddedGraph(
-        rotation=rotation,
-        edge_ends=edge_ends,
-        frontier_vertices=frontier,
-        true_degree=true_degree,
-    )
-
     cycles = trace_faces(rotation, edge_ends)
     dart_tile: dict[Dart, int] = {}
     for idx, cycle in enumerate(cycles):
@@ -336,10 +293,9 @@ def build_graph(record: Mapping) -> MetricGraph:
             dart_tile[d] = idx
 
     unbounded_faces: set[int] = set()
-    for rep in record.get("unbounded_face_reps", ()):
-        eid, head = int(rep[0]), int(rep[1])
+    for eid, head in face_reps:
         if eid not in edge_ends or head not in edge_ends[eid]:
-            raise InputFormatError(f"bad unbounded face rep {rep!r}")
+            raise InputFormatError(f"bad unbounded face rep {[eid, head]!r}")
         unbounded_faces.add(dart_tile[(eid, head)])
 
     tiles = []
@@ -359,8 +315,10 @@ def build_graph(record: Mapping) -> MetricGraph:
                           degree=len(edges), status=status, perimeter=perimeter,
                           touches_frontier=touches))
 
-    return MetricGraph(embedding=embedding, length=length,
-                       tiles=tuple(tiles), dart_tile=dart_tile)
+    return MetricGraph(rotation=rotation, edge_ends=edge_ends,
+                       frontier_vertices=frontier, true_degree=true_degree,
+                       length=length, tiles=tuple(tiles), dart_tile=dart_tile,
+                       vertices=tuple(verts), edges=tuple(sorted(edge_ends)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +356,9 @@ def validate_tessellation(g: MetricGraph, mode: str = "finite") -> ValidationRep
     for v in g.vertices:
         if mode == "truncation" and v in fr:
             continue
-        if g.embedding.degree(v) < 3:
+        if g.degree(v) < 3:
             violations.append(Violation(
-                "v", f"vertex {v}", f"degree {g.embedding.degree(v)} < 3"))
+                "v", f"vertex {v}", f"degree {g.degree(v)} < 3"))
 
     # (ii): bounded tiles are simple cycles of >= 3 edges
     for t in g.tiles:

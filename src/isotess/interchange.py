@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import InputFormatError
-from .graphcore import MetricGraph, build_graph
 
 FORMAT = "metric-graph"
 SCHEMA_VERSION = 1
@@ -55,12 +54,6 @@ def load_record(path: str | Path) -> dict:
     if fmt != FORMAT:
         raise InputFormatError(f"{path}: unknown format {fmt!r}")
     return record
-
-
-def load(path: str | Path) -> tuple[MetricGraph, dict]:
-    """Parse and build; returns the graph and the raw record."""
-    record = load_record(path)
-    return build_graph(record), record
 
 
 def canonical_rotation(rotation: list[int]) -> list[int]:

@@ -4,10 +4,12 @@ The metric isoperimetric constant is the infimum of
 deg(boundary S) / mes(S) over finite connected subgraphs S; the
 combinatorial one replaces subgraphs by finite vertex sets.  Both are
 approached from above by canonical enumeration and from below by the
-curvature estimates.  Enumeration uses an ESU-style canonical-augmentation
-scheme: every connected subset is visited exactly once in a fixed order,
-so partitioning the stream over workers can neither duplicate nor skip,
-and all reductions are schedule-independent.
+curvature estimates.  One ESU-style canonical-augmentation routine serves
+both: it visits every connected vertex set exactly once in a fixed order,
+and connected edge subsets are the connected vertex sets of the line
+graph.  Enumeration runs in one process; minimizers are chosen by value
+and then by the lexicographically smallest witness, so results do not
+depend on the visiting order.
 """
 
 from __future__ import annotations
@@ -66,127 +68,52 @@ class Bound:
 
 
 # ---------------------------------------------------------------------------
-# canonical enumeration of connected edge subsets
+# canonical enumeration of connected subsets (ESU)
 # ---------------------------------------------------------------------------
 
-class _EdgeScanner:
-    """Visits every connected subset of the eligible edges exactly once.
+def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
+         push: Callable[[int], None], pop: Callable[[int], None],
+         emit: Callable[[list[int], int], None], max_yield: int) -> int:
+    """Visit every connected node set of size <= max_size exactly once.
 
-    The visitor receives (stack, boundary_degree, measure, index) where
-    ``stack`` is the current edge-index list (do not mutate / keep).
+    Nodes are 0..n-1 with sorted adjacency lists ``nbrs``.  Each set is
+    grown from its smallest node by canonical augmentation (Wernicke's
+    ESU), so the visiting order is fixed by the input alone.  ``push`` and
+    ``pop`` keep the caller's running statistics as a node enters and
+    leaves the current set; ``emit(stack, index)`` runs once per set, with
+    ``stack`` the current node list (do not mutate / keep).  Returns the
+    number of sets visited.
     """
+    touched = bytearray(len(nbrs))
+    stack: list[int] = []
+    count = 0
 
-    def __init__(self, g: MetricGraph, eligible: Sequence[int]):
-        self.g = g
-        self.edge_ids = sorted(eligible)
-        self.m = len(self.edge_ids)
-        vid: dict[int, int] = {}
-        ends = []
-        for e in self.edge_ids:
-            a, b = g.edge_ends[e]
-            for v in (a, b):
-                if v not in vid:
-                    vid[v] = len(vid)
-            ends.append((vid[a], vid[b]))
-        self.ends = ends
-        self.lengths = [g.length[e] for e in self.edge_ids]
-        self.truedeg = [0] * len(vid)
-        for v, i in vid.items():
-            td = g.true_degree[v]
-            if td is None:
-                raise FrontierContact(f"vertex {v} has unknown true degree")
-            self.truedeg[i] = td
-        nbrs: list[list[int]] = [[] for _ in range(self.m)]
-        at_vertex: dict[int, list[int]] = {}
-        for i, (a, b) in enumerate(ends):
-            at_vertex.setdefault(a, []).append(i)
-            at_vertex.setdefault(b, []).append(i)
-        for i, (a, b) in enumerate(ends):
-            seen = {i}
-            for j in at_vertex[a] + at_vertex[b]:
-                if j not in seen:
-                    seen.add(j)
-                    nbrs[i].append(j)
-            nbrs[i].sort()
-        self.nbrs = nbrs
-
-    def scan(self, max_edges: int, visit: Callable, max_yield: int) -> int:
-        m = self.m
-        ends = self.ends
-        lengths = self.lengths
-        truedeg = self.truedeg
-        nbrs = self.nbrs
-        deg = [0] * len(self.truedeg)
-        stack: list[int] = []
-        touched = bytearray(m)
-        state = {"bd": 0, "mes": Fraction(0), "count": 0}
-
-        def push(i: int) -> None:
-            for w in ends[i]:
-                d = deg[w]
-                td = truedeg[w]
-                bd = state["bd"]
-                if 0 < d < td:
-                    bd -= d
-                if d + 1 < td:
-                    bd += d + 1
-                state["bd"] = bd
-                deg[w] = d + 1
-            state["mes"] += lengths[i]
-            stack.append(i)
-
-        def pop(i: int) -> None:
-            for w in ends[i]:
-                d = deg[w]
-                td = truedeg[w]
-                bd = state["bd"]
-                if d < td:
-                    bd -= d
-                if 0 < d - 1 < td:
-                    bd += d - 1
-                state["bd"] = bd
-                deg[w] = d - 1
-            state["mes"] -= lengths[i]
-            stack.pop()
-
-        def emit() -> None:
-            state["count"] += 1
-            if state["count"] > max_yield:
-                raise BudgetExceeded(
-                    f"enumeration exceeded max_yield={max_yield}", state["count"])
-            visit(stack, state["bd"], state["mes"], state["count"] - 1)
-
-        def rec(ext: list[int]) -> None:
-            emit()
-            if len(stack) == max_edges:
-                return
-            for k, i in enumerate(ext):
-                fresh = [j for j in nbrs[i] if not touched[j]]
-                for j in fresh:
-                    touched[j] = 1
-                push(i)
-                rec(ext[k + 1:] + fresh)
-                pop(i)
-                for j in fresh:
-                    touched[j] = 0
-
-        for r in range(m):
-            touched[r] = 1
-            fresh = [j for j in nbrs[r] if not touched[j]]
+    def extend(i: int, ext: list[int]) -> None:
+        # add node i, visit the set, then grow it by every later node of
+        # ``ext`` and by the neighbours of i no smaller set has reached
+        nonlocal count
+        push(i)
+        stack.append(i)
+        count += 1
+        if count > max_yield:
+            raise BudgetExceeded(f"enumeration exceeded max_yield={max_yield}", count)
+        emit(stack, count - 1)
+        if len(stack) < max_size:
+            fresh = [j for j in nbrs[i] if not touched[j]]
             for j in fresh:
                 touched[j] = 1
-            push(r)
-            rec(fresh)
-            pop(r)
+            ext = ext + fresh
+            for k, j in enumerate(ext):
+                extend(j, ext[k + 1:])
             for j in fresh:
                 touched[j] = 0
-            # r stays touched: later roots never revisit it
-        return state["count"]
+        pop(i)
+        stack.pop()
 
-
-def default_eligible_edges(g: MetricGraph) -> list[int]:
-    """Frontier-free region: edges with both endpoints away from the frontier."""
-    return g.frontier_free_edges()
+    for r in range(len(nbrs)):
+        touched[r] = 1  # r stays touched: later roots never revisit it
+        extend(r, [])
+    return count
 
 
 def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
@@ -197,111 +124,122 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
     ``visit(stack, boundary_degree, measure, index)`` runs once per
     connected subset, where ``stack`` holds indices into the sorted
     eligible edge list (translate via its order when edge ids are needed).
-    Returns the number of subsets visited.
+    The eligible edges default to the frontier-free region.  This is the
+    ESU scan on the line graph.  Returns the number of subsets visited.
     """
-    eligible = list(eligible_edges) if eligible_edges is not None \
-        else default_eligible_edges(g)
-    return _EdgeScanner(g, eligible).scan(max_edges, visit, max_yield)
+    edge_ids = sorted(eligible_edges if eligible_edges is not None
+                      else g.frontier_free_edges())
+    vid: dict[int, int] = {}
+    ends = []
+    for e in edge_ids:
+        a, b = g.edge_ends[e]
+        ends.append((vid.setdefault(a, len(vid)), vid.setdefault(b, len(vid))))
+    truedeg = []
+    for v in vid:
+        td = g.true_degree[v]
+        if td is None:
+            raise FrontierContact(f"vertex {v} has unknown true degree")
+        truedeg.append(td)
+    lengths = [g.length[e] for e in edge_ids]
+    at_vertex: list[list[int]] = [[] for _ in vid]
+    for i, (a, b) in enumerate(ends):
+        at_vertex[a].append(i)
+        at_vertex[b].append(i)
+    nbrs = [sorted(set(at_vertex[a] + at_vertex[b]) - {i})
+            for i, (a, b) in enumerate(ends)]
+
+    deg = [0] * len(vid)
+    bd = 0
+    mes = Fraction(0)
+
+    def push(i: int) -> None:
+        nonlocal bd, mes
+        for w in ends[i]:
+            d = deg[w]
+            td = truedeg[w]
+            if 0 < d < td:
+                bd -= d
+            if d + 1 < td:
+                bd += d + 1
+            deg[w] = d + 1
+        mes += lengths[i]
+
+    def pop(i: int) -> None:
+        nonlocal bd, mes
+        for w in ends[i]:
+            d = deg[w]
+            td = truedeg[w]
+            if d < td:
+                bd -= d
+            if 0 < d - 1 < td:
+                bd += d - 1
+            deg[w] = d - 1
+        mes -= lengths[i]
+
+    def emit(stack: list[int], idx: int) -> None:
+        visit(stack, bd, mes, idx)
+
+    return _esu(nbrs, max_edges, push, pop, emit, max_yield)
 
 
 def enumerate_connected_subgraphs(g: MetricGraph, max_edges: int,
                                   max_yield: int = 2_000_000,
                                   eligible_edges: Iterable[int] | None = None):
-    """Yield every connected edge subset of size <= max_edges exactly once.
+    """Every connected edge subset of size <= max_edges, exactly once.
 
-    Subsets are yielded as sorted tuples of edge ids in a canonical,
-    partition-stable order.
+    Subsets are sorted tuples of edge ids, listed in the scan's canonical
+    order.
     """
-    eligible = list(eligible_edges) if eligible_edges is not None \
-        else default_eligible_edges(g)
-    scanner = _EdgeScanner(g, eligible)
+    edge_ids = sorted(eligible_edges if eligible_edges is not None
+                      else g.frontier_free_edges())
     out: list[tuple[int, ...]] = []
 
     def visit(stack, bd, mes, idx):
-        out.append(tuple(sorted(scanner.edge_ids[i] for i in stack)))
+        out.append(tuple(sorted(edge_ids[i] for i in stack)))
 
-    scanner.scan(max_edges, visit, max_yield)
+    scan_connected_edge_subsets(g, max_edges, visit, edge_ids, max_yield)
     return out
 
 
-# ---------------------------------------------------------------------------
-# canonical enumeration of connected vertex subsets
-# ---------------------------------------------------------------------------
+def _scan_connected_vertex_sets(g: MetricGraph, vertex_ids: Sequence[int],
+                                max_size: int, visit: Callable,
+                                max_yield: int) -> int:
+    """ESU scan over connected sets of the sorted ``vertex_ids``.
 
-class _VertexScanner:
-    """Same canonical-augmentation scheme on vertices."""
+    ``visit(stack, degree_sum, internal_edges, index)`` runs once per set;
+    ``stack`` holds indices into ``vertex_ids``.
+    """
+    vidx = {v: i for i, v in enumerate(vertex_ids)}
+    truedeg = []
+    for v in vertex_ids:
+        td = g.true_degree[v]
+        if td is None:
+            raise FrontierContact(f"vertex {v} has unknown true degree")
+        truedeg.append(td)
+    nbrs = [sorted(vidx[w] for w in (g.other_end(e, v) for e in g.rotation[v])
+                   if w in vidx)
+            for v in vertex_ids]
 
-    def __init__(self, g: MetricGraph, eligible: Sequence[int]):
-        self.g = g
-        self.vertex_ids = sorted(eligible)
-        allowed = set(self.vertex_ids)
-        vidx = {v: i for i, v in enumerate(self.vertex_ids)}
-        self.truedeg = []
-        for v in self.vertex_ids:
-            td = g.true_degree[v]
-            if td is None:
-                raise FrontierContact(f"vertex {v} has unknown true degree")
-            self.truedeg.append(td)
-        nbrs: list[list[int]] = []
-        for v in self.vertex_ids:
-            row = sorted(vidx[g.other_end(e, v)] for e in g.rotation[v]
-                         if g.other_end(e, v) in allowed)
-            nbrs.append(row)
-        self.nbrs = nbrs
+    in_set = bytearray(len(vertex_ids))
+    sumdeg = 0
+    internal = 0
 
-    def scan(self, max_size: int, visit: Callable, max_yield: int) -> int:
-        n = len(self.vertex_ids)
-        nbrs = self.nbrs
-        truedeg = self.truedeg
-        stack: list[int] = []
-        in_set = bytearray(n)
-        touched = bytearray(n)
-        state = {"sumdeg": 0, "internal": 0, "count": 0}
+    def push(i: int) -> None:
+        nonlocal sumdeg, internal
+        sumdeg += truedeg[i]
+        internal += sum(in_set[j] for j in nbrs[i])
+        in_set[i] = 1
 
-        def push(i: int) -> None:
-            state["sumdeg"] += truedeg[i]
-            state["internal"] += sum(in_set[j] for j in nbrs[i])
-            in_set[i] = 1
-            stack.append(i)
+    def pop(i: int) -> None:
+        nonlocal sumdeg, internal
+        in_set[i] = 0
+        sumdeg -= truedeg[i]
+        internal -= sum(in_set[j] for j in nbrs[i])
 
-        def pop(i: int) -> None:
-            in_set[i] = 0
-            state["sumdeg"] -= truedeg[i]
-            state["internal"] -= sum(in_set[j] for j in nbrs[i])
-            stack.pop()
+    def emit(stack: list[int], idx: int) -> None:
+        visit(stack, sumdeg, internal, idx)
 
-        def emit() -> None:
-            state["count"] += 1
-            if state["count"] > max_yield:
-                raise BudgetExceeded(
-                    f"enumeration exceeded max_yield={max_yield}", state["count"])
-            visit(stack, state["sumdeg"], state["internal"], state["count"] - 1)
-
-        def rec(ext: list[int]) -> None:
-            emit()
-            if len(stack) == max_size:
-                return
-            for k, i in enumerate(ext):
-                fresh = [j for j in nbrs[i] if not touched[j]]
-                for j in fresh:
-                    touched[j] = 1
-                push(i)
-                rec(ext[k + 1:] + fresh)
-                pop(i)
-                for j in fresh:
-                    touched[j] = 0
-
-        for r in range(n):
-            touched[r] = 1
-            fresh = [j for j in nbrs[r] if not touched[j]]
-            for j in fresh:
-                touched[j] = 1
-            push(r)
-            rec(fresh)
-            pop(r)
-            for j in fresh:
-                touched[j] = 0
-        return state["count"]
+    return _esu(nbrs, max_size, push, pop, emit, max_yield)
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +257,14 @@ def enumerate_starlike_complete(g: MetricGraph, max_generators: int,
     deduplicated by edge set.  Candidates whose closure escapes the safe
     region are skipped and counted; returns (selections, skipped).
     """
-    eligible = list(generators_from) if generators_from is not None \
-        else g.frontier_free_vertices()
-    scanner = _VertexScanner(g, eligible)
+    vertex_ids = sorted(generators_from if generators_from is not None
+                        else g.frontier_free_vertices())
     vertex_sets: list[tuple[int, ...]] = []
 
     def visit(stack, sumdeg, internal, idx):
-        vertex_sets.append(tuple(scanner.vertex_ids[i] for i in stack))
+        vertex_sets.append(tuple(vertex_ids[i] for i in stack))
 
-    scanner.scan(max_generators, visit, max_yield)
+    _scan_connected_vertex_sets(g, vertex_ids, max_generators, visit, max_yield)
 
     seen: set[frozenset[int]] = set()
     out: list[SubgraphSelection] = []
@@ -366,40 +303,30 @@ def alpha_upper_bruteforce(g: MetricGraph, budget: Budget,
 
     A certified upper bound on alpha whenever the true-degree data is
     honest.  The witness is the lexicographically smallest sorted edge-id
-    sequence among the minimizers, independent of the worker partition.
-    ``proper_only`` skips subgraphs with empty boundary (the whole graph).
+    sequence among the minimizers.  ``proper_only`` skips subgraphs with
+    empty boundary (the whole graph).  ``workers`` selects nothing: the
+    scan runs in one process and the result does not depend on it.
     """
-    eligible = list(eligible_edges) if eligible_edges is not None \
-        else default_eligible_edges(g)
-    scanner = _EdgeScanner(g, eligible)
-    # one accumulator per worker; stream routed by canonical index
-    best: list[tuple[Fraction, tuple[int, ...]] | None] = [None] * workers
+    edge_ids = sorted(eligible_edges if eligible_edges is not None
+                      else g.frontier_free_edges())
+    best: tuple[Fraction, tuple[int, ...]] | None = None
 
     def visit(stack, bd, mes, idx):
+        nonlocal best
         if proper_only and bd == 0:
             return
-        w = idx % workers
         ratio = Fraction(bd) / mes
-        cur = best[w]
-        if cur is None or ratio < cur[0]:
-            best[w] = (ratio, tuple(sorted(scanner.edge_ids[i] for i in stack)))
-        elif ratio == cur[0]:
-            witness = tuple(sorted(scanner.edge_ids[i] for i in stack))
-            if witness < cur[1]:
-                best[w] = (ratio, witness)
+        if best is None or ratio <= best[0]:
+            witness = tuple(sorted(edge_ids[i] for i in stack))
+            if best is None or ratio < best[0] or witness < best[1]:
+                best = (ratio, witness)
 
-    count = scanner.scan(budget.max_edges, visit, budget.max_yield)
-    merged = None
-    for item in best:
-        if item is None:
-            continue
-        if merged is None or item[0] < merged[0] or \
-                (item[0] == merged[0] and item[1] < merged[1]):
-            merged = item
-    if merged is None:
+    count = scan_connected_edge_subsets(g, budget.max_edges, visit, edge_ids,
+                                        budget.max_yield)
+    if best is None:
         raise BudgetExceeded("no subgraph enumerated", 0)
-    bound = Bound(value=merged[0], provenance="bruteforce_upper", side="upper",
-                  certified=True, witness=merged[1],
+    bound = Bound(value=best[0], provenance="bruteforce_upper", side="upper",
+                  certified=True, witness=best[1],
                   note=f"min over {count} connected subgraphs "
                        f"(<= {budget.max_edges} edges)")
     return BruteForceResult(bound=bound, enumerated=count)
@@ -416,22 +343,23 @@ def alpha_comb_upper_bruteforce(g: MetricGraph, budget: Budget,
                                 eligible_vertices: Iterable[int] | None = None
                                 ) -> CombUpperResult:
     """min (#boundary edges of U) / (sum of degrees in U) over vertex sets."""
-    eligible = list(eligible_vertices) if eligible_vertices is not None \
-        else g.frontier_free_vertices()
-    scanner = _VertexScanner(g, eligible)
-    best: list[tuple[Fraction, tuple[int, ...]]] = []
+    vertex_ids = sorted(eligible_vertices if eligible_vertices is not None
+                        else g.frontier_free_vertices())
+    best: tuple[Fraction, tuple[int, ...]] | None = None
 
     def visit(stack, sumdeg, internal, idx):
+        nonlocal best
         ratio = Fraction(sumdeg - 2 * internal, sumdeg)
-        witness = tuple(sorted(scanner.vertex_ids[i] for i in stack))
-        if not best or ratio < best[0][0] or \
-                (ratio == best[0][0] and witness < best[0][1]):
-            best[:] = [(ratio, witness)]
+        if best is None or ratio <= best[0]:
+            witness = tuple(sorted(vertex_ids[i] for i in stack))
+            if best is None or ratio < best[0] or witness < best[1]:
+                best = (ratio, witness)
 
-    count = scanner.scan(budget.max_generators, visit, budget.max_yield)
-    if not best:
+    count = _scan_connected_vertex_sets(g, vertex_ids, budget.max_generators,
+                                        visit, budget.max_yield)
+    if best is None:
         raise BudgetExceeded("no vertex set enumerated", 0)
-    return CombUpperResult(value=best[0][0], witness_vertices=best[0][1],
+    return CombUpperResult(value=best[0], witness_vertices=best[1],
                            enumerated=count)
 
 
@@ -539,7 +467,8 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
     lower bound on alpha_S (or alpha) reaches a certified 2/ell*, alpha
     equals 2/ell* exactly and the bracket collapses.  For genuinely finite
     graphs alpha is trivially 0 (the whole graph has empty boundary) and
-    the infimum over proper subgraphs is reported separately.
+    the infimum over proper subgraphs is reported separately.  ``workers``
+    selects nothing, as in :func:`alpha_upper_bruteforce`.
     """
     budget = budget or Budget()
     if report is None:

@@ -41,12 +41,6 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     raise ValueError(f"not a rational: {text!r}")
 
 
-def parse_extended(text: str | int) -> Extended:
-    if isinstance(text, str) and text.strip().lower() in ("inf", "+inf", "infinity"):
-        return INF
-    return parse_rational(text)
-
-
 def format_extended(x: Extended | None) -> str:
     """Serialize as "p/q" / "p", "inf", or "indeterminate" for None."""
     if x is None:

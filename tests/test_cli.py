@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from isotess.cli import main
 from isotess.interchange import save
 
@@ -203,4 +205,48 @@ def test_bounds_command(tmp_path, capsys):
 def test_gen_invalid_params_exit(tmp_path, capsys):
     assert run(["gen", "pq", "--p", "3", "--q", "5", "--radius", "2",
                 "--output", str(tmp_path / "x.json")]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda r: r.update(vertices=[{"id": 0}], edges=[]),
+    lambda r: r["vertices"][0].update(id="x"),
+    lambda r: r.update(vertices=[], edges=[]),
+    lambda r: r.update(true_degree={"0": "a"}),
+    lambda r: r.update(unbounded_face_reps=[[0]]),
+    lambda r: r["edges"][0].update(ends=[0, 1, 2]),
+    lambda r: r["edges"][0].pop("length"),
+], ids=["no-rotation", "id-not-int", "no-vertices", "true-degree-not-int",
+        "short-face-rep", "three-ends", "no-length"])
+def test_malformed_record_exit_code(tmp_path, capsys, mutate):
+    record = k4_record()
+    mutate(record)
+    path = tmp_path / "bad.json"
+    save(record, path)
+    assert run(["faces", str(path)]) == 4
+    assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha", "g.json", "--budget-edges", "0"],
+    ["alpha", "g.json", "--workers", "0"],
+    ["alpha", "g.json", "--workers", "-3"],
+    ["bounds", "g.json", "--budget-generators", "0"],
+    ["comb-alpha", "g.json", "--max-yield", "0"],
+])
+def test_numeric_flags_below_one_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_flags_attached_only_where_read(capsys):
+    for argv in (["faces", "g.json", "--workers", "2"],
+                 ["validate", "g.json", "--budget-edges", "3"],
+                 ["comb-alpha", "g.json", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
     capsys.readouterr()

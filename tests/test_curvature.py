@@ -84,7 +84,7 @@ def test_vertex_weight_frontier_contact():
 
 def test_equilateral_weight_is_degree(k4):
     for v in k4.vertices:
-        assert vertex_weight(k4, v) == k4.embedding.degree(v)
+        assert vertex_weight(k4, v) == k4.degree(v)
 
 
 # --- vertex curvature --------------------------------------------------------

@@ -44,7 +44,7 @@ def test_pq_ball_structure():
         g = build_graph(gen_pq_ball(PQParams(p, q), r))
         assert len(g.vertices) - len(g.edges) + len(g.tiles) == 2
         for v in g.frontier_free_vertices():
-            assert g.embedding.degree(v) == p
+            assert g.degree(v) == p
         for t in g.tiles:
             if t.status == "bounded":
                 assert t.degree == q
@@ -77,7 +77,7 @@ def test_pq_ball_radius_too_small():
 
 def test_tree_ball_root_degree():
     g = build_graph(gen_pq_ball(PQParams(5, math.inf), 2))
-    assert g.embedding.degree(0) == 5
+    assert g.degree(0) == 5
     assert len(g.tiles) == 1 and g.tiles[0].status == "unbounded"
 
 
@@ -255,7 +255,7 @@ def test_generator_sweep_structural():
         assert len(g.vertices) - len(g.edges) + len(g.tiles) == 2
         assert validate_tessellation(g, "truncation").valid
         for v in g.frontier_free_vertices():
-            assert g.embedding.degree(v) == p
+            assert g.degree(v) == p
         for t in g.tiles:
             if t.status == "bounded":
                 assert t.degree == q

@@ -27,7 +27,7 @@ from isotess.isoperimetry import (
     lower_bounds,
 )
 
-from conftest import k4_record
+from conftest import finite_corpus, k4_record
 
 
 def path_record(n):
@@ -99,6 +99,8 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         enumerate_connected_subgraphs(g, 4, max_yield=10,
                                       eligible_edges=list(g.edges))
+    with pytest.raises(BudgetExceeded):
+        alpha_comb_upper_bruteforce(g, Budget(max_generators=4, max_yield=10))
 
 
 # --- star-like complete enumeration ------------------------------------------
@@ -224,6 +226,43 @@ def test_comb_square_blocks():
                                                 max_yield=500_000))
     # the 2x2 block: 8 boundary edges over degree sum 16 = 1/2
     assert res.value == Fraction(1, 2)
+
+
+def naive_comb_upper(g, max_size):
+    """Combination filter oracle: (count, (ratio, witness)) over connected
+    frontier-free vertex sets of size <= max_size."""
+    count, best = 0, None
+    for k in range(1, max_size + 1):
+        for combo in itertools.combinations(g.frontier_free_vertices(), k):
+            members = set(combo)
+            seen, todo = {combo[0]}, [combo[0]]
+            while todo:
+                v = todo.pop()
+                for e in g.rotation[v]:
+                    w = g.other_end(e, v)
+                    if w in members and w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            if len(seen) != k:
+                continue
+            count += 1
+            sumdeg = sum(g.true_degree[v] for v in combo)
+            internal = sum(1 for a, b in g.edge_ends.values()
+                           if a in members and b in members)
+            item = (Fraction(sumdeg - 2 * internal, sumdeg), combo)
+            best = item if best is None else min(best, item)
+    return count, best
+
+
+@pytest.mark.parametrize("name,record", [
+    ("pq44r2", gen_pq_ball(PQParams(4, 4), 2)), *finite_corpus()])
+def test_comb_enumeration_matches_naive_filter(name, record):
+    g = build_graph(record)
+    res = alpha_comb_upper_bruteforce(g, Budget(max_generators=4))
+    count, (value, witness) = naive_comb_upper(g, 4)
+    assert res.enumerated == count
+    assert res.value == value
+    assert res.witness_vertices == witness
 
 
 # --- lower bounds and brackets -----------------------------------------------
