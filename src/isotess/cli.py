@@ -1,24 +1,30 @@
 """Command-line front door.
 
-Analysis commands read a graph interchange file and write one report
-record; generator commands write interchange files.  Each command takes
-only the flags it reads.  Enumeration runs in one process; ``--workers``
-is accepted by alpha and compare but changes nothing, so identical inputs
-and budgets produce byte-identical reports.
+Every analysis command takes one path, `_analyze`: read the interchange
+file once, build the graph, run the command's function from `_ANALYSES`
+(graph, family block, args -> result, exit code) and emit one canonical
+report.  Budgeted commands find their `Budget` in ``args.budget`` and echo
+it with the tolerance.  Generator commands write interchange files;
+`witness` loads its optional input the same way.  Each command takes only
+the flags it reads.  Enumeration runs in one process; ``--workers`` is
+accepted by alpha and compare but changes nothing, so identical inputs and
+budgets produce byte-identical reports.
 
 Exit codes: 0 success, 2 validation violations / failed preconditions /
-usage errors, 3 enumeration budget exhausted, 4 malformed input or I/O error.
+usage errors, 3 enumeration budget exhausted, 4 malformed input (including
+non-integer ids and non-UTF-8 files) or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import families, interchange, reports
+from . import families, graphcore, interchange, reports
 from .curvature import gauss_bonnet_check, global_constants
 from .errors import (
     BudgetExceeded,
@@ -28,6 +34,7 @@ from .errors import (
 )
 from .graphcore import MetricGraph, validate_tessellation
 from .isoperimetry import (
+    AlphaBracket,
     Budget,
     alpha_bracket,
     alpha_comb_upper_bruteforce,
@@ -52,6 +59,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _int_or_inf(text: str) -> int | float:
+    return math.inf if text.strip().lower() == "inf" else _positive_int(text)
+
+
 # commands that enumerate, and those of them that accept --workers
 _BUDGETED = ("bounds", "alpha", "comb-alpha", "compare")
 _WORKERS = ("alpha", "compare")
@@ -64,16 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "metric graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("validate", "check the tessellation axioms"),
-        ("faces", "trace and list the tiles"),
-        ("curvature", "characteristic values, weights and global constants"),
-        ("gauss-bonnet", "exact check of sum of -c(e)|e| = 1"),
-        ("bounds", "lower bounds on the isoperimetric constant"),
-        ("alpha", "two-sided bracket for the isoperimetric constant"),
-        ("comb-alpha", "combinatorial isoperimetric upper bound"),
-        ("compare", "alpha vs combinatorial alpha, side by side"),
-    ]:
+    for name, (help_text, _) in _ANALYSES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", type=str)
         if name == "validate":
@@ -98,11 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     gensub = gen.add_subparsers(dest="family", required=True)
     g_pq = gensub.add_parser("pq", help="(p,q)-regular ball")
     g_pq.add_argument("--p", type=int, required=True)
-    g_pq.add_argument("--q", type=str, required=True, help="integer >= 3 or 'inf'")
+    g_pq.add_argument("--q", type=_int_or_inf, required=True,
+                      help="integer >= 3 or 'inf'")
     g_pq.add_argument("--radius", type=int, required=True)
     g_tree = gensub.add_parser("tree", help="equilateral p-regular tree ball")
     g_tree.add_argument("--p", type=int, required=True)
     g_tree.add_argument("--radius", type=int, required=True)
+    g_tree.set_defaults(q=math.inf)
     g_gk = gensub.add_parser("gk", help="half-plane lattice with attached trees")
     g_gk.add_argument("--k", type=int, required=True)
     g_gk.add_argument("--rows", type=int, default=3)
@@ -123,57 +127,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(args) -> Budget:
-    return Budget(max_edges=args.budget_edges,
-                  max_generators=args.budget_generators,
-                  max_yield=args.max_yield)
-
-
-def _budget_json(budget: Budget) -> dict:
-    return {"max_edges": budget.max_edges,
-            "max_generators": budget.max_generators,
-            "max_yield": budget.max_yield}
-
-
 def _load(path: str) -> tuple[MetricGraph, dict, bytes]:
     data = Path(path).read_bytes()
-    record = interchange.load_record(path)
-    from .graphcore import build_graph
-    return build_graph(record), record, data
+    record = interchange.load_record(path, data)
+    return graphcore.build_graph(record), record, data
 
 
-def _alpha_bracket_for(g: MetricGraph, record: dict, budget: Budget,
-                       workers: int):
-    family = record.get("family")
-    ell_star, ell_min = families.certified_lengths(family)
-    return alpha_bracket(
-        g, budget, family_bounds=families.family_bounds(family),
-        certified_ell_star=ell_star, certified_ell_min=ell_min,
-        workers=workers)
+def _emit(args, result: dict, data: bytes | None, family: dict | None,
+          **echo) -> None:
+    report = reports.make_report(args.command, result, input_bytes=data,
+                                 family=family, **echo)
+    sys.stdout.write(reports.emit(report, args.output))
 
 
-def _cmd_validate(args) -> int:
-    g, record, data = _load(args.input)
+def _validate(g: MetricGraph, family, args) -> tuple[dict, int]:
     mode = args.mode
     if mode == "auto":
         mode = "truncation" if g.frontier_vertices else "finite"
     rep = validate_tessellation(g, mode)
-    result = {
+    return {
         "mode": mode,
         "valid": rep.valid,
         "violations": [
             {"condition": v.condition, "witness": v.witness, "detail": v.detail}
             for v in rep.violations
         ],
-    }
-    report = reports.make_report("validate", result, input_bytes=data,
-                                 family=record.get("family"))
-    sys.stdout.write(reports.emit(report, args.output))
-    return EXIT_OK if rep.valid else EXIT_VIOLATIONS
+    }, EXIT_OK if rep.valid else EXIT_VIOLATIONS
 
 
-def _cmd_faces(args) -> int:
-    g, record, data = _load(args.input)
+def _faces(g: MetricGraph, family, args) -> tuple[dict, int]:
     tiles = [{
         "index": t.index,
         "status": t.status,
@@ -181,22 +163,17 @@ def _cmd_faces(args) -> int:
         "perimeter": value_json(t.perimeter),
         "edges": sorted(t.edges),
     } for t in g.tiles]
-    result = {
+    return {
         "tiles": tiles,
         "counts": {"vertices": len(g.vertices), "edges": len(g.edges),
                    "faces": len(g.tiles)},
         "euler_characteristic": len(g.vertices) - len(g.edges) + len(g.tiles),
-    }
-    report = reports.make_report("faces", result, input_bytes=data,
-                                 family=record.get("family"))
-    sys.stdout.write(reports.emit(report, args.output))
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_curvature(args) -> int:
-    g, record, data = _load(args.input)
+def _curvature(g: MetricGraph, family, args) -> tuple[dict, int]:
     rep = global_constants(g)
-    result = {
+    return {
         "vertex_weight": {str(v): value_json(w) for v, w in rep.vertex_weight.items()},
         "char_value": {str(e): value_json(c) for e, c in rep.char_value.items()},
         "vertex_curvature": {str(v): value_json(k)
@@ -218,141 +195,110 @@ def _cmd_curvature(args) -> int:
             "observed": rep.observed,
             "counts": rep.counts,
         },
-    }
-    report = reports.make_report("curvature", result, input_bytes=data,
-                                 family=record.get("family"))
-    sys.stdout.write(reports.emit(report, args.output))
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_gauss_bonnet(args) -> int:
-    g, record, data = _load(args.input)
+def _gauss_bonnet(g: MetricGraph, family, args) -> tuple[dict, int]:
     try:
         res = gauss_bonnet_check(g)
     except NotFiniteTessellation as exc:
-        report = reports.make_report(
-            "gauss-bonnet", {"error": "NotFiniteTessellation", "detail": str(exc)},
-            input_bytes=data, family=record.get("family"))
-        sys.stdout.write(reports.emit(report, args.output))
-        return EXIT_VIOLATIONS
-    result = {"sum": value_json(res.total), "holds": res.holds}
-    report = reports.make_report("gauss-bonnet", result, input_bytes=data,
-                                 family=record.get("family"))
-    sys.stdout.write(reports.emit(report, args.output))
-    return EXIT_OK
+        return {"error": "NotFiniteTessellation", "detail": str(exc)}, EXIT_VIOLATIONS
+    return {"sum": value_json(res.total), "holds": res.holds}, EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
-    g, record, data = _load(args.input)
-    budget = _budget(args)
-    bounds = lower_bounds(g, budget=budget)
-    bounds.extend(b for b in families.family_bounds(record.get("family"))
-                  if b.side == "lower")
-    result = {"bounds": [reports.bound_json(b) for b in bounds]}
-    report = reports.make_report("bounds", result, input_bytes=data,
-                                 family=record.get("family"),
-                                 budget=_budget_json(budget),
-                                 tolerance=args.tolerance)
-    sys.stdout.write(reports.emit(report, args.output))
-    return EXIT_OK
+def _bounds(g: MetricGraph, family, args) -> tuple[dict, int]:
+    bounds = lower_bounds(g, budget=args.budget)
+    bounds.extend(b for b in families.family_bounds(family) if b.side == "lower")
+    return {"bounds": [reports.bound_json(b) for b in bounds]}, EXIT_OK
 
 
-def _cmd_alpha(args) -> int:
-    g, record, data = _load(args.input)
-    budget = _budget(args)
-    bracket = _alpha_bracket_for(g, record, budget, args.workers)
-    report = reports.make_report("alpha", reports.bracket_json(bracket),
-                                 input_bytes=data, family=record.get("family"),
-                                 budget=_budget_json(budget),
-                                 tolerance=args.tolerance)
-    sys.stdout.write(reports.emit(report, args.output))
-    return EXIT_OK
+def _bracket(g: MetricGraph, family, args) -> AlphaBracket:
+    ell_star, ell_min = families.certified_lengths(family)
+    return alpha_bracket(
+        g, args.budget, family_bounds=families.family_bounds(family),
+        certified_ell_star=ell_star, certified_ell_min=ell_min,
+        workers=args.workers)
 
 
-def _comb_result(g: MetricGraph, record: dict, budget: Budget) -> dict:
-    res = alpha_comb_upper_bruteforce(g, budget)
-    closed = families.family_comb_closed_form(record.get("family"))
+def _alpha(g: MetricGraph, family, args) -> tuple[dict, int]:
+    return reports.bracket_json(_bracket(g, family, args)), EXIT_OK
+
+
+def _comb(g: MetricGraph, family, args) -> tuple[dict, Fraction | float | None]:
+    """The comb-alpha result and the family's closed-form alpha_comb."""
+    res = alpha_comb_upper_bruteforce(g, args.budget)
+    closed = families.family_comb_closed_form(family)
     return {
         "best_upper": value_json(res.value),
         "witness_vertices": list(res.witness_vertices),
         "enumerated": res.enumerated,
         "closed_form": value_json(closed) if closed is not None else None,
-    }
+    }, closed
 
 
-def _cmd_comb_alpha(args) -> int:
-    g, record, data = _load(args.input)
-    budget = _budget(args)
-    result = _comb_result(g, record, budget)
-    report = reports.make_report("comb-alpha", result, input_bytes=data,
-                                 family=record.get("family"),
-                                 budget=_budget_json(budget),
-                                 tolerance=args.tolerance)
-    sys.stdout.write(reports.emit(report, args.output))
-    return EXIT_OK
+def _comb_alpha(g: MetricGraph, family, args) -> tuple[dict, int]:
+    return _comb(g, family, args)[0], EXIT_OK
 
 
-def _num(v):
-    """Parse a serialized report value back to a number, or None."""
-    if v is None or v in ("inf", "indeterminate"):
-        return None
-    return Fraction(v) if isinstance(v, str) else v
-
-
-def compare_records(alpha_result: dict, comb_result: dict,
-                    record: dict, tolerance: float) -> dict:
+def _compare(g: MetricGraph, family, args) -> tuple[dict, int]:
     """Side-by-side record; flags a certified 0-vs-positive divergence."""
-    alpha_lower = _num(alpha_result.get("best_lower"))
-    alpha_exact = _num(alpha_result.get("alpha_exact"))
-    comb_closed = _num(comb_result.get("closed_form"))
-
-    alpha_positive = (alpha_lower is not None and alpha_lower > 0) or \
-                     (alpha_exact is not None and alpha_exact > 0)
-    divergence = (comb_closed == 0 and alpha_positive) or \
-                 (alpha_exact == 0 and comb_closed is not None and comb_closed > 0)
-
+    bracket = _bracket(g, family, args)
+    comb, closed = _comb(g, family, args)
+    exact = bracket.alpha_exact
+    positive = any(x is not None and x > 0 for x in (bracket.best_lower, exact))
+    divergence = (closed == 0 and positive) or \
+                 (exact == 0 and closed is not None and closed > 0)
     combmetric = None
-    equilateral = all(Fraction(e["length"]) == 1 for e in record["edges"])
-    if equilateral and comb_closed is not None:
-        transformed = equilateral_transform(comb_closed)
-        matches = None
-        if alpha_exact is not None:
-            matches = abs(float(transformed) - float(alpha_exact)) <= tolerance
+    if closed is not None and all(ell == 1 for ell in g.length.values()):
+        transformed = equilateral_transform(closed)
+        matches = None if exact is None else \
+            abs(float(transformed) - float(exact)) <= args.tolerance
         combmetric = {
-            "alpha_comb": value_json(comb_closed),
+            "alpha_comb": value_json(closed),
             "transformed": value_json(transformed),
             "matches_alpha_exact": matches,
         }
     return {
-        "alpha": alpha_result,
-        "comb": comb_result,
+        "alpha": reports.bracket_json(bracket),
+        "comb": comb,
         "combmetric_check": combmetric,
         "divergence_flag": divergence,
-    }
+    }, EXIT_OK
 
 
-def _cmd_compare(args) -> int:
+# analysis command -> (help text, function)
+_ANALYSES = {
+    "validate": ("check the tessellation axioms", _validate),
+    "faces": ("trace and list the tiles", _faces),
+    "curvature": ("characteristic values, weights and global constants",
+                  _curvature),
+    "gauss-bonnet": ("exact check of sum of -c(e)|e| = 1", _gauss_bonnet),
+    "bounds": ("lower bounds on the isoperimetric constant", _bounds),
+    "alpha": ("two-sided bracket for the isoperimetric constant", _alpha),
+    "comb-alpha": ("combinatorial isoperimetric upper bound", _comb_alpha),
+    "compare": ("alpha vs combinatorial alpha, side by side", _compare),
+}
+
+
+def _analyze(args) -> int:
+    """Load and build the input graph, run one analysis, emit its report."""
     g, record, data = _load(args.input)
-    budget = _budget(args)
-    alpha_result = reports.bracket_json(
-        _alpha_bracket_for(g, record, budget, args.workers))
-    result = compare_records(alpha_result, _comb_result(g, record, budget),
-                             record, args.tolerance)
-    report = reports.make_report("compare", result, input_bytes=data,
-                                 family=record.get("family"),
-                                 budget=_budget_json(budget),
-                                 tolerance=args.tolerance)
-    sys.stdout.write(reports.emit(report, args.output))
-    return EXIT_OK
+    family = record.get("family")
+    echo = {}
+    if args.command in _BUDGETED:
+        args.budget = Budget(max_edges=args.budget_edges,
+                             max_generators=args.budget_generators,
+                             max_yield=args.max_yield)
+        echo = {"budget": dataclasses.asdict(args.budget),
+                "tolerance": args.tolerance}
+    result, code = _ANALYSES[args.command][1](g, family, args)
+    _emit(args, result, data, family, **echo)
+    return code
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "pq":
-        q = math.inf if args.q.strip().lower() == "inf" else int(args.q)
-        record = families.gen_pq_ball(families.PQParams(p=args.p, q=q),
-                                      args.radius)
-    elif args.family == "tree":
-        record = families.gen_pq_ball(families.PQParams(p=args.p, q=math.inf),
+    if args.family in ("pq", "tree"):
+        record = families.gen_pq_ball(families.PQParams(p=args.p, q=args.q),
                                       args.radius)
     elif args.family == "gk":
         record = families.gen_gk(families.GkParams(
@@ -373,8 +319,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    graph = record = None
-    data = None
+    graph = record = data = None
     if args.input:
         graph, record, data = _load(args.input)
     w = families.gk_witness_sequence(args.k, args.l, graph=graph, record=record)
@@ -386,35 +331,21 @@ def _cmd_witness(args) -> int:
         "limit": value_json(w["limit"]),
         "cross_checked": w["cross_checked"],
     }
-    report = reports.make_report("witness", result, input_bytes=data,
-                                 family=record.get("family") if record else None)
-    sys.stdout.write(reports.emit(report, args.output))
+    _emit(args, result, data, record.get("family") if record else None)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "faces": _cmd_faces,
-    "curvature": _cmd_curvature,
-    "gauss-bonnet": _cmd_gauss_bonnet,
-    "bounds": _cmd_bounds,
-    "alpha": _cmd_alpha,
-    "comb-alpha": _cmd_comb_alpha,
-    "compare": _cmd_compare,
-    "gen": _cmd_gen,
-    "witness": _cmd_witness,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        handler = {"gen": _cmd_gen, "witness": _cmd_witness}.get(
+            args.command, _analyze)
+        return handler(args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return EXIT_BUDGET
-    except (InputFormatError, FileNotFoundError, OSError) as exc:
+    except (InputFormatError, OSError) as exc:
         sys.stderr.write(f"malformed input: {exc}\n")
         return EXIT_MALFORMED
     except GraphError as exc:

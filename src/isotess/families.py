@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    GraphError,
     NegativeCurvatureParams,
     ParamTooSmall,
     RadiusTooSmall,
@@ -498,10 +499,19 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
     measure = k((k-1)^l - 1)/(k-2); the boundary consists of the root
     (subgraph degree k) and the k(k-1)^(l-1) depth-l leaves (degree 1), so
     boundary_degree = k + k(k-1)^(l-1).  When a generated truncation is
-    supplied, the actual subgraph is cut out and must match exactly.
+    supplied, the actual subgraph is cut out and must match exactly; a
+    record that is not G_k with this k raises GraphError before any work.
     """
     if k < 3 or l < 2:
         raise ParamTooSmall("need k >= 3 and l >= 2")
+    if graph is not None:
+        family = (record or {}).get("family")
+        if not isinstance(family, dict) or family.get("kind") != "gk" \
+                or family.get("k") != k:
+            raise GraphError(f"cross-check needs a generated G_{k} record, "
+                             f"got family {family!r}")
+        if family["tree_depth"] < l:
+            raise TruncationTooShallow(f"tree_depth {family['tree_depth']} < l = {l}")
     measure = Fraction(k * ((k - 1) ** l - 1), k - 2)
     boundary_degree = k + k * (k - 1) ** (l - 1)
     out = {
@@ -513,11 +523,6 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
         "cross_checked": False,
     }
     if graph is not None:
-        if record is None or record.get("family", {}).get("kind") != "gk":
-            raise ValueError("cross-check needs the generated record")
-        if record["family"]["tree_depth"] < l:
-            raise TruncationTooShallow(
-                f"tree_depth {record['family']['tree_depth']} < l = {l}")
         sel = subgraph_stats(graph, _gk_tree_edges(graph, record, l))
         if sel.measure != measure or sel.boundary_degree != boundary_degree:
             raise AssertionError(
@@ -530,10 +535,8 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
 def _gk_tree_edges(graph: MetricGraph, record: dict, l: int) -> list[int]:
     """Edges of the x=0 attached tree down to depth l, by BFS from the root."""
     k = record["family"]["k"]
-    cols, rows = record["family"]["cols"], record["family"]["rows"]
     # vertex ids follow the generator's construction order
-    root = cols  # ("L", 0, 0) is at row-major position (0 + cols) in row 0
-    del rows
+    root = record["family"]["cols"]  # ("L", 0, 0) is at row-major position cols
     edges: list[int] = []
     level = [root]
     seen = {root}

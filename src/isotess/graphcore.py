@@ -192,6 +192,13 @@ def trace_faces(rotation: Mapping[int, tuple[int, ...]],
 # construction
 # ---------------------------------------------------------------------------
 
+def _int(x) -> int:
+    """A JSON integer as is; anything else (float, bool, string) is a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def build_graph(record: Mapping) -> MetricGraph:
     """Validate an interchange record and construct the metric graph.
 
@@ -205,16 +212,16 @@ def build_graph(record: Mapping) -> MetricGraph:
     pair_seen: set[tuple[int, int]] = set()
     try:
         for item in record["vertices"]:
-            vid = int(item["id"])
+            vid = _int(item["id"])
             if vid in rotation:
                 raise InputFormatError(f"duplicate vertex id {vid}")
-            rotation[vid] = tuple(int(e) for e in item["rotation"])
+            rotation[vid] = tuple(map(_int, item["rotation"]))
 
         for item in record["edges"]:
-            eid = int(item["id"])
+            eid = _int(item["id"])
             if eid in edge_ends:
                 raise InputFormatError(f"duplicate edge id {eid}")
-            a, b = (int(x) for x in item["ends"])
+            a, b = map(_int, item["ends"])
             if a == b:
                 raise NonSimple(f"edge {eid} is a loop at vertex {a}")
             if a not in rotation or b not in rotation:
@@ -229,9 +236,9 @@ def build_graph(record: Mapping) -> MetricGraph:
                 raise NonPositiveLength(f"edge {eid} has length {ell}")
             length[eid] = ell
 
-        frontier = frozenset(int(v) for v in record.get("frontier_vertices", ()))
-        declared = {int(k): int(v) for k, v in record.get("true_degree", {}).items()}
-        face_reps = [(int(e), int(h)) for e, h in record.get("unbounded_face_reps", ())]
+        frontier = frozenset(map(_int, record.get("frontier_vertices", ())))
+        declared = {int(k): _int(v) for k, v in record.get("true_degree", {}).items()}
+        face_reps = [(_int(e), _int(h)) for e, h in record.get("unbounded_face_reps", ())]
     except (AttributeError, IndexError, KeyError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise InputFormatError(f"malformed record: {exc!r}") from exc

@@ -15,6 +15,9 @@ A single JSON record describes a metric graph:
 }
 ```
 
+The file is UTF-8 text.  Vertex and edge ids, edge ends, rotation
+entries, frontier vertices, true degrees and face reps are JSON integers
+(not floats or booleans); ``true_degree`` keys are decimal strings.
 Rotation lists are cyclic clockwise sequences; lengths are rational
 strings ("p/q" or decimal).  ``unbounded_face_reps`` names one directed
 edge ``[edge, head]`` lying on each unbounded face.  Everything else is
@@ -42,9 +45,14 @@ def save(record: Mapping, path: str | Path) -> None:
     Path(path).write_text(dumps_record(record), encoding="utf-8")
 
 
-def load_record(path: str | Path) -> dict:
+def load_record(path: str | Path, data: bytes | None = None) -> dict:
+    """Parse the record in ``data``, the bytes of ``path`` (read when None)."""
+    if data is None:
+        data = Path(path).read_bytes()
     try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
+        record = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                                f"column {exc.colno}") from exc

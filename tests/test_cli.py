@@ -1,5 +1,6 @@
 """CLI behaviour: reports, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,7 +9,18 @@ import pytest
 from isotess.cli import main
 from isotess.interchange import save
 
-from conftest import k4_record, wheel_record
+from conftest import finite_corpus, k4_record, wheel_record
+
+
+# a triangle: a simple plane graph that violates the tessellation axioms
+TRIANGLE = {
+    "vertices": [{"id": 0, "rotation": [0, 2]}, {"id": 1, "rotation": [1, 0]},
+                 {"id": 2, "rotation": [2, 1]}],
+    "edges": [{"id": 0, "ends": [0, 1], "length": "1"},
+              {"id": 1, "ends": [1, 2], "length": "1"},
+              {"id": 2, "ends": [2, 0], "length": "1"}],
+    "unbounded_face_reps": [[0, 0]],
+}
 
 
 def run(args):
@@ -66,14 +78,7 @@ def test_validate_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     # a triangle violates the degree condition: exit 2
     bad = tmp_path / "tri.json"
-    save({
-        "vertices": [{"id": 0, "rotation": [0, 2]}, {"id": 1, "rotation": [1, 0]},
-                     {"id": 2, "rotation": [2, 1]}],
-        "edges": [{"id": 0, "ends": [0, 1], "length": "1"},
-                  {"id": 1, "ends": [1, 2], "length": "1"},
-                  {"id": 2, "ends": [2, 0], "length": "1"}],
-        "unbounded_face_reps": [[0, 0]],
-    }, bad)
+    save(TRIANGLE, bad)
     assert run(["validate", str(bad)]) == 2
     capsys.readouterr()
 
@@ -85,6 +90,10 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run(["validate", str(missing)]) == 4
     capsys.readouterr()
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"vertices": []}'.encode("utf-16-le"))
+    assert run(["faces", str(utf16)]) == 4
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_budget_exhausted_exit_code(tmp_path, capsys):
@@ -173,6 +182,14 @@ def test_witness_command(tmp_path, capsys):
                 "--output", str(out)]) == 0
     capsys.readouterr()
     assert read(out)["result"]["cross_checked"] is True
+    # a record of another family, or of G_k with another k, fails the
+    # precondition (exit 2) before any work
+    ball = tmp_path / "pq.json"
+    run(["gen", "pq", "--p", "4", "--q", "4", "--radius", "2", "--output", str(ball)])
+    assert run(["witness", "--k", "3", "--l", "2", "--input", str(ball)]) == 2
+    assert run(["witness", "--k", "4", "--l", "2", "--input", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("GraphError: cross-check needs") == 2 and "Traceback" not in err
 
 
 def test_gen_roundtrip_validates(tmp_path, capsys):
@@ -216,8 +233,15 @@ def test_gen_invalid_params_exit(tmp_path, capsys):
     lambda r: r.update(unbounded_face_reps=[[0]]),
     lambda r: r["edges"][0].update(ends=[0, 1, 2]),
     lambda r: r["edges"][0].pop("length"),
+    lambda r: r["vertices"][0].update(id=0.9),
+    lambda r: r["edges"][0].update(id=0.5),
+    lambda r: r["vertices"][0].update(
+        rotation=[float(e) for e in r["vertices"][0]["rotation"]]),
+    lambda r: r["edges"][0].update(ends=[r["edges"][0]["ends"][0], True]),
+    lambda r: r.update(true_degree={"0": 3.7}),
 ], ids=["no-rotation", "id-not-int", "no-vertices", "true-degree-not-int",
-        "short-face-rep", "three-ends", "no-length"])
+        "short-face-rep", "three-ends", "no-length", "vertex-id-float",
+        "edge-id-float", "rotation-floats", "edge-end-bool", "true-degree-float"])
 def test_malformed_record_exit_code(tmp_path, capsys, mutate):
     record = k4_record()
     mutate(record)
@@ -233,6 +257,7 @@ def test_malformed_record_exit_code(tmp_path, capsys, mutate):
     ["alpha", "g.json", "--workers", "-3"],
     ["bounds", "g.json", "--budget-generators", "0"],
     ["comb-alpha", "g.json", "--max-yield", "0"],
+    ["gen", "pq", "--p", "4", "--q", "abc", "--radius", "2", "--output", "g.json"],
 ])
 def test_numeric_flags_below_one_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -250,3 +275,154 @@ def test_flags_attached_only_where_read(capsys):
             run(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+# Exit code and sha256 of the report of every analysis command on small
+# inputs.  A change that alters a report on purpose must update these pins.
+REPORT_DIGESTS = {
+    "K4": {
+        "validate": (0, "09d65dd6dcfd53619fce2c1a52e9223374e842cc63dbcb8b650fcf73c6880886"),
+        "faces": (0, "639e458280fca11ca962935166faa3436e9d040d4a5bd099e3135a7d3f320a9e"),
+        "curvature": (0, "1b3a78c5e252905dd05d4848558cdb86615fc88e8976b934ceb97b627006f442"),
+        "gauss-bonnet": (0, "e756893b8b92a3c807ea30aebeef8fabb2addb939c4d17cace1b3647c4b9c3cd"),
+        "bounds": (0, "0df543fae77ebd5b50443ebf0d0046ea63029d2b67e2dd6e7afa4a22d75eb065"),
+        "alpha": (0, "80721e36573ca0c48a57a05902007d3e241bbe4cb4e69a057a41416c12b90957"),
+        "comb-alpha": (0, "e6c4a173203cab7187f0c09965eaa2337eb4415c227f0cfefae864d5c278d00b"),
+        "compare": (0, "7d0a3c2d1bd3261a88e01157226bcf592f7d443dc2e30318a8cf55a3371f6c02"),
+    },
+    "W4": {
+        "validate": (0, "3924a69425d7ecaf22646439b74e662d049b90858d0850c9edcbe40e1a61f187"),
+        "faces": (0, "8e3e0641438599ce31c38872e3e2dd5e1084498550141c1142eec3ab6befecf2"),
+        "curvature": (0, "f4e2ac099142c49d29d2cba554c3ebd5b41544c9cfa9da8c5221cc895eeb7ee6"),
+        "gauss-bonnet": (0, "7540bdd6a8d6cf9f702628a39615abf181df7e8bc74681939c11fba6ce63b318"),
+        "bounds": (0, "5c3c64999ec212d19ef011f965c18791bc2b7696e7c01634a2fc112fa4eed534"),
+        "alpha": (0, "d3012c4cf283e53a92ab75d895b099f27553c040e90add00e2837367e6f311b1"),
+        "comb-alpha": (0, "a6926634f602ec01769b092bef73a659e748d3c8fc2cdafbe11bd96806c55be0"),
+        "compare": (0, "d9fcc510606d547466be932e7ff98596bb06cdbc2d29fdd88644e4d69bdab2b9"),
+    },
+    "W5": {
+        "validate": (0, "e79fb28a6595a8fb2526865313011fc6ce10c4441d1ffd043a0a8253c4bd8863"),
+        "faces": (0, "b3eb98815931b58fe9428b04b141990efc51e92f0ac7a5cf4be875203f504c01"),
+        "curvature": (0, "8e63e149350a6f359724de4fef29d6835c90d8e86997b7d83645d7c7094dc986"),
+        "gauss-bonnet": (0, "9ea0ef030a0682b42861611cfb07ceae7595b07dc05d5c89d41ee0e66ebff1e3"),
+        "bounds": (0, "ff1ab8a73801f269927f1499f813245983a4281ee4c450f8a4bc72bd75749ddf"),
+        "alpha": (0, "b883f0de52dcbcec713f1284e5256de11e3c3a3e3a4bd9f9e1ac1676da790302"),
+        "comb-alpha": (0, "412a88a106cad0e8915df17f2356b04ebb6cab437d139e6f3c1f511b1bacfbd8"),
+        "compare": (0, "a71f91864d662a03aa6aa4fc104c73612d2674cfa9909561d1286b969214e319"),
+    },
+    "W6": {
+        "validate": (0, "319a8e6d566bee157d24d1ddda962904accb7c3cad71246977f1923c408ef678"),
+        "faces": (0, "8746dcd91c1df0fbfd11215733777a565d767ae06d34af1e26a75862371ca939"),
+        "curvature": (0, "8bc71374863846fa2267ee72f1b882c5257327bc13d2416e788ee095a0326a90"),
+        "gauss-bonnet": (0, "4f498379b23f802c81b14f209968178a6bd0c1127a88bc501474a0964d8fc448"),
+        "bounds": (0, "2f1977e451ea42c762b471023af9f809c94a06483d3051edd56bea8b987f8709"),
+        "alpha": (0, "28887549cbf415ccc56bf500e1080b954f88f6863b88c0fc0a7521b8a1eb2a15"),
+        "comb-alpha": (0, "829de229475cf3c8c372df1fedb15905e2876817b79a5dfde4ab29ddcecc0aa8"),
+        "compare": (0, "291463b853c344399367f0eec4e7ad5ad14e4b2af7c3f8cbdad9dcf96fbf37c6"),
+    },
+    "trihex": {
+        "validate": (0, "23dcc173f3c3a4de00bea150a00f5a44397388a70ceb5211c57d7f976460fc2d"),
+        "faces": (0, "e3ed575bd8dde2aba415a7316f96e9c9227db2b4c87b99a9373b4db0de874db4"),
+        "curvature": (0, "652fc923aca475dc6d23124124b162ea01290bfe1e28bebaa4f1aede0bbea1b4"),
+        "gauss-bonnet": (0, "dbd8930d9a23137af582b41278c8bcdba074cb121aa0374d44c1a1619c142d67"),
+        "bounds": (0, "f46cc3869f53c1ae3c94a787b7c542d2945447ea7b6cfaf043b375412e74565c"),
+        "alpha": (0, "95726ffc857dde33244351497a5b382ce8b9fd14e2c661789fb8e135ed4befe5"),
+        "comb-alpha": (0, "32e1976c9221e2e865026b5c0613979f78b480201dc73fead486282f5787ed86"),
+        "compare": (0, "f69fbe8b6b51ffe487ab3e9127c751e67ee33ebe486f8f2dd1c64907d444558c"),
+    },
+    "tri": {
+        "validate": (2, "1a16c746503039932dd4a95c35dea881a71989ecbe4128f73bc19c6b218fc033"),
+        "faces": (0, "f0b0930220c85d6a51487d37c3de9e492d646362205a7b41c5777b16903417ec"),
+        "curvature": (0, "5067d1f7dc7d9938e5c4390f78d3eed25222e4ecd4199bc231bbb07026665211"),
+        "gauss-bonnet": (2, "e60e8a966dbcc0b3783eb7dda2cc9fe6b36267a764832d652128e2749b2c94d8"),
+        "bounds": (0, "8e333e4f568565a87651087a1bcc96666b9a4786839d62ef9fefbe8a3596063a"),
+        "alpha": (0, "e132030dc1646faa9f6497299ee625198be4d9ba0d87ee75af0f2563fb0bf690"),
+        "comb-alpha": (0, "2dd6e170630cd407482e8f805e04daa594693fcf24d7d06f7532092777772a85"),
+        "compare": (0, "8a5a88c4f1ddc744e5a6520812cbda2167c3334befcbb2244f59f7b95ac48978"),
+    },
+    "pq44r2": {
+        "validate": (0, "3c6c93785f335f68b04b0d2977017477cde6d2e5d0d22c76c7eab1dc5a2a4731"),
+        "faces": (0, "a2883343718cf6ff277454648026a42fe29af37530cfd9e898a8f0fc47eb72b4"),
+        "curvature": (0, "2c42bb638027500a3d5411245ad3aebac3b7d4e4d698cf60057098d8d4ad4aab"),
+        "gauss-bonnet": (2, "efc83a5a82ca823df204590ee05bc025affe22faa4d9265dcc0679725e590502"),
+        "bounds": (0, "c6b7292edbe2a14dae75e88d32c83e4297aeee74b8d2f1c78e2ea5bafaadb256"),
+        "alpha": (0, "df395a79ca8502049bd456cb24fe9d5d38456023cb200996f399fbb6098ea7e9"),
+        "comb-alpha": (0, "0c3141b3696ef894060afb37ed730fb5f3dec414d5fb8b94770dfa034c7ab57f"),
+        "compare": (0, "2fd4dbcab79470e9d423858769acc7bb9dd3e97610ecba89d7140dc244e4b8cb"),
+    },
+    "pq37r2": {
+        "validate": (0, "5e06b75873f2193ba8f4908d64f72f609aa5ab0331523ef18f57998ea41303f1"),
+        "faces": (0, "2306a58db055b9286a51c0317d4efef89af1f13671e2982562615772c023bcd5"),
+        "curvature": (0, "d27d7badea2fd350f15db0fa61ed6fefdf8a5dca7999a55753ef87d98810dd1d"),
+        "gauss-bonnet": (2, "73c4ad6ac2839f5749d3d178dd71d4ef44c1edf6958f1689d70f5c7bbb04ca37"),
+        "bounds": (0, "1c9c8dd03d189366e422e0c2552a11802df19642e1538c0625c6c8ab4a120d7f"),
+        "alpha": (0, "288bf68a9de14930a0dc45fe9c924ab882ecb9a4f9e900a9121862514f648165"),
+        "comb-alpha": (0, "b8fcbd6929f189377981cae595aaa3560e0f0330b2bcccab76ec4889154045a1"),
+        "compare": (0, "dc9ed4005fb58eacbdfb3e90d8f43eda680c3c3fd14e595dbbae5bee65def35f"),
+    },
+    "tree3r3": {
+        "validate": (0, "e3e189c4395b78290d5ccc20b7100933ca62d61effb6124d8b77f0b21aa8453f"),
+        "faces": (0, "b68804ac924f980d95862d3e60c267597782222d5d46b1553effe5d1f312a695"),
+        "curvature": (0, "8518179262db4d79eebce5766f92cc0b6fcd05f507ecbbf1f0b8e8a4623ba7f3"),
+        "gauss-bonnet": (2, "a6fe05957616208365b83858b4371e7dc2010dc63f4b9ce05171b30509f1be92"),
+        "bounds": (0, "6016429e2bb45a1586465ac4711ca8bb26c7312017d2ac98a66130ae76ac6af2"),
+        "alpha": (0, "8be199a2617b439a7220a16f8b9481760e6ef10925d9627915674dc816f500b8"),
+        "comb-alpha": (0, "5f3cf73bd09a648954c89511438344e90e38b3482ae9d9c0e49d1f74aa4fd03f"),
+        "compare": (0, "481a841894d78b105c218deda530f0612af4affb63d723415516875a2500794b"),
+    },
+    "gk3": {
+        "validate": (0, "8489d19a257e3c27b44ae858ecb718e9757b850df6452bedbf0dd83783cab50c"),
+        "faces": (0, "723fcc22269693eab8edba1339aa209470168e1fad87bd7672d2fdb403a9586c"),
+        "curvature": (0, "9bbb33e0f9d961b8a4608db842085fd0d0324fb2006d610ff68fed2629e9941c"),
+        "gauss-bonnet": (2, "65c5134d004f7a6309f13f543955e020dfc23df345ff9aa0c5ea493bc29a63f8"),
+        "bounds": (0, "d3128e909217a06920ed30a41f4451558c91d22cb756bf294b363f079c33ff8b"),
+        "alpha": (0, "c5cb41e9a5ff9320e9522386ac0d86f685c1aedf396ed18805692a4664787a0f"),
+        "comb-alpha": (0, "6e5a66b3e6ae5d371a202e588c7b12af8185d7bbb13cc279a7e5f7c5bf6f0da2"),
+        "compare": (0, "f1aa9fb98bb7202d2b3fdeba622a092371d00bd7e6e0928c17f13a42a45a56cd"),
+    },
+    "netree63": {
+        "validate": (0, "cfabcbe7918bce91aa603ef9bc29522b979776ca0a90844ff74941ef03f57fa7"),
+        "faces": (0, "534e552b36af8d97e65d73a4cb9106f8cbfc8103a5233110b7063f0aafca150f"),
+        "curvature": (0, "6002b4392e6ec96cd09f84608e9ffd28ad6fcfbf887b7b2f14046cbb9ba0710d"),
+        "gauss-bonnet": (2, "c0e6c92832aaddeed821091e50178837ff53d27fa0ea77ad291aa395b974d231"),
+        "bounds": (0, "b81d2efec944279dea932df5e83489f062394158fbe50a45d2ccac5f2cc93da3"),
+        "alpha": (0, "5891cc807fed7b9b66e91b3637c53f4c9fd89ea4b82669ac34031b9645386e1f"),
+        "comb-alpha": (0, "f9b03201d05c80d86344e95f0fe4f823405d7847c55f44868fe43112b9b7a25f"),
+        "compare": (0, "b1a5fcfd5e1a90e506318d868b9ddff98a73553c93f299cd0a4767c4a287dea3"),
+    },
+}
+
+_GENERATED = {
+    "pq44r2": ["pq", "--p", "4", "--q", "4", "--radius", "2"],
+    "pq37r2": ["pq", "--p", "3", "--q", "7", "--radius", "2"],
+    "tree3r3": ["tree", "--p", "3", "--radius", "3"],
+    "gk3": ["gk", "--k", "3", "--rows", "2", "--cols", "2", "--tree-depth", "2"],
+    "netree63": ["netree", "--p", "6", "--depth", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    paths = {}
+    for name, record in finite_corpus() + [("tri", TRIANGLE)]:
+        paths[name] = root / f"{name}.json"
+        save(record, paths[name])
+    for name, argv in _GENERATED.items():
+        paths[name] = root / f"{name}.json"
+        assert main(["gen", *argv, "--output", str(paths[name])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_digests_pinned(pinned_inputs, capsys, name):
+    capsys.readouterr()
+    got = {}
+    for command in REPORT_DIGESTS[name]:
+        argv = [command, str(pinned_inputs[name])]
+        if command in ("bounds", "alpha", "comb-alpha", "compare"):
+            argv += ["--budget-edges", "3", "--budget-generators", "2"]
+        code = main(argv)
+        report = capsys.readouterr().out.encode("utf-8")
+        got[command] = (code, hashlib.sha256(report).hexdigest())
+    assert got == REPORT_DIGESTS[name]
