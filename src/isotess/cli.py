@@ -12,7 +12,7 @@ budgets produce byte-identical reports.
 
 Exit codes: 0 success, 2 validation violations / failed preconditions /
 usage errors, 3 enumeration budget exhausted, 4 malformed input (including
-non-integer ids and non-UTF-8 files) or I/O error.
+non-integer ids, malformed family blocks and non-UTF-8 files) or I/O error.
 """
 
 from __future__ import annotations

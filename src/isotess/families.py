@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (
     GraphError,
+    InputFormatError,
     NegativeCurvatureParams,
     ParamTooSmall,
     RadiusTooSmall,
@@ -81,6 +82,20 @@ class GkParams:
             raise ParamTooSmall(f"k = {self.k} < 3")
         if self.rows < 1 or self.cols < 1 or self.tree_depth < 1:
             raise ParamTooSmall("rows, cols and tree_depth must be >= 1")
+
+
+@dataclass(frozen=True)
+class NETreeParams:
+    """p-regular tree ball of the given depth with one edge of length p."""
+
+    p: int
+    depth: int = 2
+
+    def __post_init__(self):
+        if self.p < 5:
+            raise ParamTooSmall(f"p = {self.p} < 5")
+        if self.depth < 2:
+            raise ParamTooSmall(f"depth = {self.depth} < 2")
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +425,7 @@ def gen_nonequilateral_tree(p: int, depth: int) -> dict:
     Defined for p >= 5.  The long edge is the first edge at the root; its
     id is recorded in the family block.
     """
-    if p < 5:
-        raise ParamTooSmall(f"p = {p} < 5")
-    if depth < 2:
-        raise ParamTooSmall(f"depth = {depth} < 2")
+    NETreeParams(p, depth)
     record = _tree_ball_record(p, depth, family=None)
     record["edges"][0]["length"] = str(p)
     record["family"] = {"kind": "netree", "p": p, "depth": depth, "hat_edge": 0}
@@ -499,8 +511,8 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
     measure = k((k-1)^l - 1)/(k-2); the boundary consists of the root
     (subgraph degree k) and the k(k-1)^(l-1) depth-l leaves (degree 1), so
     boundary_degree = k + k(k-1)^(l-1).  When a generated truncation is
-    supplied, the actual subgraph is cut out and must match exactly; a
-    record that is not G_k with this k raises GraphError before any work.
+    supplied, the actual subgraph is cut out and must match exactly, else
+    GraphError; a record that is not G_k with this k raises it before any work.
     """
     if k < 3 or l < 2:
         raise ParamTooSmall("need k >= 3 and l >= 2")
@@ -525,7 +537,7 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
     if graph is not None:
         sel = subgraph_stats(graph, _gk_tree_edges(graph, record, l))
         if sel.measure != measure or sel.boundary_degree != boundary_degree:
-            raise AssertionError(
+            raise GraphError(
                 f"closed form ({measure}, {boundary_degree}) != subgraph "
                 f"({sel.measure}, {sel.boundary_degree})")
         out["cross_checked"] = True
@@ -552,7 +564,8 @@ def _gk_tree_edges(graph: MetricGraph, record: dict, l: int) -> list[int]:
                 edges.append(e)
         level = nxt
     expected = k * sum((k - 1) ** j for j in range(l))
-    assert len(edges) == expected, "tree cut has unexpected size"
+    if len(edges) != expected:
+        raise GraphError(f"tree cut has {len(edges)} edges, expected {expected}")
     return edges
 
 
@@ -560,16 +573,43 @@ def _gk_tree_edges(graph: MetricGraph, record: dict, l: int) -> list[int]:
 # certified family bounds for bracket assembly
 # ---------------------------------------------------------------------------
 
+def _family_params(family) -> PQParams | GkParams | NETreeParams | None:
+    """Generator parameters of a family block; None if absent or of unknown kind.
+
+    A non-object block, or a missing or non-integer field (``q`` may be
+    "inf"), is InputFormatError; a value the generator rejects raises its error.
+    """
+    if family is None:
+        return None
+    if not isinstance(family, dict):
+        raise InputFormatError(f"family block is not an object: {family!r}")
+    kind = family.get("kind")
+
+    def field(name: str) -> int | float:
+        value = family.get(name)
+        if name == "q" and value == "inf":
+            return math.inf
+        if type(value) is not int:
+            raise InputFormatError(f"family {kind}: {name} must be an integer, got {value!r}")
+        return value
+
+    if kind == "pq":
+        return PQParams(p=field("p"), q=field("q"))
+    if kind == "gk":
+        return GkParams(k=field("k"))
+    if kind == "netree":
+        return NETreeParams(p=field("p"))
+    return None
+
+
 def certified_lengths(family: dict | None) -> tuple[Fraction | None, Fraction | None]:
     """(ell_star, ell_min) of the full infinite graph, when the family knows."""
-    if not family:
-        return None, None
-    kind = family.get("kind")
-    if kind == "pq":
+    params = _family_params(family)
+    if isinstance(params, PQParams):
         return Fraction(1), Fraction(1)
-    if kind == "netree":
-        return Fraction(int(family["p"])), Fraction(1)
-    if kind == "gk":
+    if isinstance(params, NETreeParams):
+        return Fraction(params.p), Fraction(1)
+    if isinstance(params, GkParams):
         return Fraction(1), None  # inf |e| = 0 over the infinite graph
     return None, None
 
@@ -581,29 +621,21 @@ def family_comb_closed_form(family: dict | None):
     lattice already has vanishing combinatorial constant); non-equilateral
     trees: the combinatorial graph is still the p-regular tree.
     """
-    if not family:
-        return None
-    kind = family.get("kind")
-    if kind == "pq":
-        q = family["q"]
-        params = PQParams(p=int(family["p"]), q=math.inf if q == "inf" else int(q))
+    params = _family_params(family)
+    if isinstance(params, PQParams):
         return closed_forms_pq(params).alpha_comb
-    if kind == "gk":
+    if isinstance(params, GkParams):
         return Fraction(0)
-    if kind == "netree":
-        return Fraction(int(family["p"]) - 2, int(family["p"]))
+    if isinstance(params, NETreeParams):
+        return Fraction(params.p - 2, params.p)
     return None
 
 
 def family_bounds(family: dict | None) -> list[Bound]:
     """Certified closed-form bounds on alpha for a generated family graph."""
-    if not family:
-        return []
-    kind = family.get("kind")
+    params = _family_params(family)
     out: list[Bound] = []
-    if kind == "pq":
-        q = family["q"]
-        params = PQParams(p=int(family["p"]), q=math.inf if q == "inf" else int(q))
+    if isinstance(params, PQParams):
         forms = closed_forms_pq(params)
         if forms.c > 0 or params.is_tree:
             out.append(Bound(value=forms.alpha_lower, provenance="cK_lower",
@@ -615,17 +647,16 @@ def family_bounds(family: dict | None) -> list[Bound]:
         out.append(Bound(value=forms.alpha, provenance="closed_form",
                          side="upper", certified=True,
                          note="exact alpha of the (p,q) family"))
-    elif kind == "gk":
-        consts = gk_closed_constants(int(family["k"]))
+    elif isinstance(params, GkParams):
+        consts = gk_closed_constants(params.k)
         out.append(Bound(value=consts["alpha_lower"], provenance="cK_lower",
                          side="lower", certified=True,
                          note="closed form c_*/K of G_k"))
         out.append(Bound(value=consts["alpha_upper"], provenance="closed_form",
                          side="upper", certified=True,
                          note="limit of the attached-tree witness ratios"))
-    elif kind == "netree":
-        p = int(family["p"])
-        out.append(Bound(value=Fraction(p - 2, 2 * (p - 1)),
+    elif isinstance(params, NETreeParams):
+        out.append(Bound(value=Fraction(params.p - 2, 2 * (params.p - 1)),
                          provenance="closed_form", side="lower", certified=True,
                          target="alpha_S",
                          note="alpha_S >= (1/2)(p-2)/(p-1): star-like complete "

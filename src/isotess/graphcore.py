@@ -452,21 +452,18 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
         interior_vertices=interior_vertices, interior_edges=interior_edges)
 
 
-def _face_components(g: MetricGraph,
-                     interior_edges: frozenset[int],
-                     interior_vertices: frozenset[int]):
-    """Faces of the interior graph, as merged components of ambient tiles.
+def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
+    """Bounded faces of the interior graph, as groups of ambient tiles.
 
-    Two tiles belong to the same face of the interior graph when they share
-    an edge not in the interior graph, or meet at a vertex outside it.
-    Returns ``(components, bounded_components, ambiguous)`` where each
-    component is a sorted tuple of tile indices, ``bounded_components``
-    contains only fully determinate bounded faces, and ``ambiguous`` is set
-    when more than one component touches indeterminate data (so the outer
-    face cannot be identified).
+    Tiles lie in one face of the interior graph when they meet at a vertex
+    outside it.  This also joins the two tiles beside an edge outside it:
+    the edge has an end w that is not interior (an interior vertex has its
+    whole star selected), and both tiles are corners at w.  Returns
+    ``(groups, ambiguous)``: the tile-index lists of the groups with only
+    bounded tiles, and whether more than one group touches indeterminate
+    data (so the outer face cannot be identified).
     """
-    n = len(g.tiles)
-    parent = list(range(n))
+    parent = list(range(len(g.tiles)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -474,126 +471,79 @@ def _face_components(g: MetricGraph,
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for e in g.edges:
-        if e in interior_edges:
-            continue
-        d1, d2 = g.darts_of(e)
-        union(g.dart_tile[d1], g.dart_tile[d2])
     for v in g.vertices:
         if v in interior_vertices:
             continue
         rot = g.rotation[v]
-        first = g.dart_tile[(rot[0], v)]
+        first = find(g.dart_tile[(rot[0], v)])
         for e in rot[1:]:
-            union(first, g.dart_tile[(e, v)])
+            parent[find(g.dart_tile[(e, v)])] = first
 
     groups: dict[int, list[int]] = {}
-    for t in range(n):
-        groups.setdefault(find(t), []).append(t)
-    components = [tuple(sorted(ts)) for ts in groups.values()]
-    components.sort()
-
-    indeterminate_comps = 0
-    bounded_components = []
-    for comp in components:
-        statuses = {g.tiles[t].status for t in comp}
-        if INDETERMINATE in statuses:
-            indeterminate_comps += 1
-            continue
-        if UNBOUNDED in statuses:
-            continue
-        bounded_components.append(comp)
-    return components, bounded_components, indeterminate_comps > 1
+    statuses: dict[int, set[str]] = {}
+    for t in g.tiles:
+        root = find(t.index)
+        groups.setdefault(root, []).append(t.index)
+        statuses.setdefault(root, set()).add(t.status)
+    bounded = [ts for root, ts in groups.items() if statuses[root] == {BOUNDED}]
+    return bounded, sum(INDETERMINATE in st for st in statuses.values()) > 1
 
 
 def classify_subgraph(g: MetricGraph, sel: SubgraphSelection) -> tuple[bool, bool]:
-    """(star_like, complete) flags for a selection.
+    """(star_like, complete) flags for a selection made by subgraph_stats.
 
     star_like: the edge set is the union of the full stars of some
     connected vertex set.  complete: every bounded face of the interior
     graph consists of exactly one ambient tile.
     """
-    # full-star vertices: every true incident edge lies in the selection
-    full = set()
-    for v in sel.vertices:
-        td = g.true_degree[v]
-        if td is not None and sum(1 for e in g.rotation[v] if e in sel.edges) == td:
-            full.add(v)
+    # The full-star vertices are the interior ones.  The selection is
+    # star-like iff they are connected and their stars cover it: a
+    # component C whose stars cover it is all of them, since a full-star
+    # vertex outside C has its star in stars(C) and so a neighbour in C.
+    full = sel.interior_vertices
     star_like = False
-    if full:
-        # the generating set must be one connected component of the
-        # full-star vertices whose stars cover the whole selection
-        comp_seen: set[int] = set()
-        for v0 in sorted(full):
-            if v0 in comp_seen:
-                continue
-            comp = {v0}
-            queue = deque([v0])
-            while queue:
-                v = queue.popleft()
-                for e in g.rotation[v]:
-                    w = g.other_end(e, v)
-                    if w in full and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            comp_seen |= comp
-            covered = set()
-            for v in comp:
-                covered.update(g.rotation[v])
-            if covered == set(sel.edges):
-                star_like = True
-                break
+    if full and set().union(*(g.rotation[v] for v in full)) == sel.edges:
+        v0 = next(iter(full))
+        seen = {v0}
+        queue = deque([v0])
+        while queue:
+            v = queue.popleft()
+            for e in g.rotation[v]:
+                w = g.other_end(e, v)
+                if w in full and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        star_like = len(seen) == len(full)
 
-    _, bounded_comps, ambiguous = _face_components(
-        g, sel.interior_edges, sel.interior_vertices)
+    groups, ambiguous = _bounded_faces(g, full)
     if ambiguous:
         raise IndeterminateFaces(
             "interior-graph face structure touches the frontier in more than one region")
-    complete = all(len(comp) == 1 for comp in bounded_comps)
-    return star_like, complete
+    return star_like, all(len(ts) == 1 for ts in groups)
 
 
 def complete_closure(g: MetricGraph, sel: SubgraphSelection) -> SubgraphSelection:
     """Close a star-like selection by absorbing bounded interior-graph faces.
 
     Repeatedly adds the full stars of every vertex lying strictly inside a
-    bounded face of the interior graph.  The result is star-like and
-    complete, and its boundary degree never exceeds the input's.
+    bounded face of the interior graph: the non-interior heads of the dart
+    cycles of its tiles.  The result is star-like and complete, and its
+    boundary degree never exceeds the input's.
     """
     edges = set(sel.edges)
     current = sel
     while True:
-        comps, bounded_comps, ambiguous = _face_components(
-            g, current.interior_edges, current.interior_vertices)
+        groups, ambiguous = _bounded_faces(g, current.interior_vertices)
         if ambiguous:
             raise FrontierContact("closure cannot resolve faces near the frontier")
-        comp_of_tile: dict[int, tuple[int, ...]] = {}
-        for comp in bounded_comps:
-            for t in comp:
-                comp_of_tile[t] = comp
-
-        to_add: set[int] = set()
-        for v in g.vertices:
-            if v in current.interior_vertices:
-                continue
-            t = g.dart_tile[(g.rotation[v][0], v)]
-            # v lies strictly inside the face formed by its surrounding
-            # tiles; absorb its star when that face is bounded.  Tiles have
-            # no vertices strictly inside, so single-tile faces never
-            # produce additions.
-            if comp_of_tile.get(t) is None:
-                continue
-            if v in g.frontier_vertices:
-                raise FrontierContact(
-                    f"closure needs the full star of frontier vertex {v}")
-            to_add.add(v)
+        to_add = {v for ts in groups for t in ts for _, v in g.tiles[t].cycle
+                  if v not in current.interior_vertices}
         if not to_add:
             break
+        blocked = to_add & g.frontier_vertices
+        if blocked:
+            raise FrontierContact(
+                f"closure needs the full star of frontier vertex {min(blocked)}")
         for v in to_add:
             edges.update(g.rotation[v])
         current = subgraph_stats(g, edges)

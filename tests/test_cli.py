@@ -190,6 +190,18 @@ def test_witness_command(tmp_path, capsys):
     assert run(["witness", "--k", "4", "--l", "2", "--input", str(graph)]) == 2
     err = capsys.readouterr().err
     assert err.count("GraphError: cross-check needs") == 2 and "Traceback" not in err
+    # a G_3 file whose root tree edge was lengthened no longer yields the
+    # attached tree: a failed cross-check, not an assertion
+    g3 = tmp_path / "g3.json"
+    run(["gen", "gk", "--k", "3", "--output", str(g3)])
+    record = read(g3)
+    edge = next(e for e in record["edges"] if e["id"] == 72)
+    assert edge["ends"] == [3, 55]
+    edge["length"] = "3/2"
+    save(record, g3)
+    assert run(["witness", "--k", "3", "--l", "2", "--input", str(g3)]) == 2
+    err = capsys.readouterr().err
+    assert "GraphError: tree cut has" in err and "Traceback" not in err
 
 
 def test_gen_roundtrip_validates(tmp_path, capsys):
@@ -249,6 +261,34 @@ def test_malformed_record_exit_code(tmp_path, capsys, mutate):
     save(record, path)
     assert run(["faces", str(path)]) == 4
     assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,code", [
+    ("x", 4),
+    ([], 4),
+    ({"kind": "pq", "p": "abc", "q": 3}, 4),
+    ({"kind": "pq", "p": 7.9, "q": 3}, 4),
+    ({"kind": "pq", "p": 4, "q": "abc"}, 4),
+    ({"kind": "gk"}, 4),
+    ({"kind": "gk", "k": True}, 4),
+    ({"kind": "netree", "p": 0}, 2),
+    ({"kind": "pq", "p": 2, "q": 7}, 2),
+    ({"kind": "gk", "k": 2}, 2),
+    ({"kind": "pq", "p": 7, "q": "inf"}, 0),
+    ({"kind": "mystery"}, 0),
+    (None, 0),
+])
+def test_family_block_exit_code(tmp_path, capsys, family, code):
+    # malformed blocks are malformed input; values the generator rejects
+    # are its own errors; absent blocks and unknown kinds are ignored
+    record = k4_record()
+    record["family"] = family
+    path = tmp_path / "k4.json"
+    save(record, path)
+    for command in ("alpha", "bounds", "compare", "comb-alpha"):
+        assert run([command, str(path), "--budget-edges", "3"]) == code, command
+        err = capsys.readouterr().err
+        assert ("malformed input: family" in err) == (code == 4)
 
 
 @pytest.mark.parametrize("argv", [

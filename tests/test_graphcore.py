@@ -313,3 +313,36 @@ def test_frontier_pocket_makes_faces_ambiguous():
         classify_subgraph(g, sel)
     with pytest.raises(FrontierContact):
         complete_closure(g, sel)
+
+
+def _stars(g, vertices):
+    return set().union(*(g.rotation[v] for v in vertices))
+
+
+def test_star_like_needs_connected_generating_set():
+    # the stars of vertices 0 and 9, at distance 2, cover the selection,
+    # but 0 and 9 are not adjacent: not star-like, and no face to fill
+    g = _ball44(4)
+    assert _distances(g)[9] == 2
+    sel = subgraph_stats(g, _stars(g, (0, 9)))
+    assert sel.interior_vertices == frozenset({0, 9})
+    assert classify_subgraph(g, sel) == (False, True)
+
+
+@pytest.mark.parametrize("p,q,radius", [(4, 4, 7), (6, 3, 8), (3, 6, 6), (3, 7, 7)])
+def test_closure_of_annulus_fills_its_hole(p, q, radius):
+    # every annulus r < d <= R (R - r >= 3, clear of the frontier at
+    # d = radius) around vertex 0 encloses the ball d <= r; its closure
+    # must absorb the whole hole and nothing else
+    g = build_graph(gen_pq_ball(PQParams(p, q), radius))
+    dist = _distances(g)
+    annuli = [(r, big_r) for r in range(1, radius) for big_r in range(r + 3, radius)]
+    assert annuli
+    for r, big_r in annuli:
+        sel = subgraph_stats(g, _stars(g, [v for v, d in dist.items() if r < d <= big_r]))
+        assert classify_subgraph(g, sel) == (True, False), (r, big_r)
+        closed = complete_closure(g, sel)
+        assert closed.edges == _stars(g, [v for v, d in dist.items() if d <= big_r])
+        assert classify_subgraph(g, closed) == (True, True)
+        assert complete_closure(g, closed).edges == closed.edges
+        assert closed.boundary_degree <= sel.boundary_degree
