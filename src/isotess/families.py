@@ -512,18 +512,26 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
     (subgraph degree k) and the k(k-1)^(l-1) depth-l leaves (degree 1), so
     boundary_degree = k + k(k-1)^(l-1).  When a generated truncation is
     supplied, the actual subgraph is cut out and must match exactly, else
-    GraphError; a record that is not G_k with this k raises it before any work.
+    GraphError; a record that is not G_k with this k, or whose ``cols`` is not
+    a vertex id, raises it before any work, and a G_k block whose ``k``,
+    ``tree_depth`` or ``cols`` is missing or not an integer is InputFormatError.
     """
     if k < 3 or l < 2:
         raise ParamTooSmall("need k >= 3 and l >= 2")
     if graph is not None:
         family = (record or {}).get("family")
         if not isinstance(family, dict) or family.get("kind") != "gk" \
-                or family.get("k") != k:
+                or _int_field(family, "k") != k:
             raise GraphError(f"cross-check needs a generated G_{k} record, "
                              f"got family {family!r}")
-        if family["tree_depth"] < l:
-            raise TruncationTooShallow(f"tree_depth {family['tree_depth']} < l = {l}")
+        depth = _int_field(family, "tree_depth")
+        if depth < l:
+            raise TruncationTooShallow(f"tree_depth {depth} < l = {l}")
+        # vertex ids follow the generator's construction order: ("L", 0, 0),
+        # the root of the x=0 tree, is at row-major position cols
+        root = _int_field(family, "cols")
+        if root not in graph.rotation:
+            raise GraphError(f"family cols = {root} is not a vertex id")
     measure = Fraction(k * ((k - 1) ** l - 1), k - 2)
     boundary_degree = k + k * (k - 1) ** (l - 1)
     out = {
@@ -535,7 +543,7 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
         "cross_checked": False,
     }
     if graph is not None:
-        sel = subgraph_stats(graph, _gk_tree_edges(graph, record, l))
+        sel = subgraph_stats(graph, _gk_tree_edges(graph, k, root, l))
         if sel.measure != measure or sel.boundary_degree != boundary_degree:
             raise GraphError(
                 f"closed form ({measure}, {boundary_degree}) != subgraph "
@@ -544,11 +552,8 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
     return out
 
 
-def _gk_tree_edges(graph: MetricGraph, record: dict, l: int) -> list[int]:
+def _gk_tree_edges(graph: MetricGraph, k: int, root: int, l: int) -> list[int]:
     """Edges of the x=0 attached tree down to depth l, by BFS from the root."""
-    k = record["family"]["k"]
-    # vertex ids follow the generator's construction order
-    root = record["family"]["cols"]  # ("L", 0, 0) is at row-major position cols
     edges: list[int] = []
     level = [root]
     seen = {root}
@@ -584,22 +589,24 @@ def _family_params(family) -> PQParams | GkParams | NETreeParams | None:
     if not isinstance(family, dict):
         raise InputFormatError(f"family block is not an object: {family!r}")
     kind = family.get("kind")
-
-    def field(name: str) -> int | float:
-        value = family.get(name)
-        if name == "q" and value == "inf":
-            return math.inf
-        if type(value) is not int:
-            raise InputFormatError(f"family {kind}: {name} must be an integer, got {value!r}")
-        return value
-
     if kind == "pq":
-        return PQParams(p=field("p"), q=field("q"))
+        p = _int_field(family, "p")
+        q = math.inf if family.get("q") == "inf" else _int_field(family, "q")
+        return PQParams(p=p, q=q)
     if kind == "gk":
-        return GkParams(k=field("k"))
+        return GkParams(k=_int_field(family, "k"))
     if kind == "netree":
-        return NETreeParams(p=field("p"))
+        return NETreeParams(p=_int_field(family, "p"))
     return None
+
+
+def _int_field(family: dict, name: str) -> int:
+    """Field ``name`` of a family block; InputFormatError unless a JSON integer."""
+    value = family.get(name)
+    if type(value) is not int:
+        raise InputFormatError(f"family {family.get('kind')}: {name} must be an "
+                               f"integer, got {value!r}")
+    return value
 
 
 def certified_lengths(family: dict | None) -> tuple[Fraction | None, Fraction | None]:

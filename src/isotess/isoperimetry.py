@@ -1,15 +1,15 @@
 """Brute-force oracles and certified bound assembly for isoperimetric constants.
 
-The metric isoperimetric constant is the infimum of
-deg(boundary S) / mes(S) over finite connected subgraphs S; the
-combinatorial one replaces subgraphs by finite vertex sets.  Both are
-approached from above by canonical enumeration and from below by the
-curvature estimates.  One ESU-style canonical-augmentation routine serves
-both: it visits every connected vertex set exactly once in a fixed order,
-and connected edge subsets are the connected vertex sets of the line
-graph.  Enumeration runs in one process; minimizers are chosen by value
-and then by the lexicographically smallest witness, so results do not
-depend on the visiting order.
+The metric isoperimetric constant is the infimum of deg(boundary S) /
+mes(S) over finite connected subgraphs S; the combinatorial one replaces
+subgraphs by finite vertex sets.  Both are approached from above by
+canonical enumeration and from below by the curvature estimates.  One ESU
+routine serves both: it visits every connected vertex set once in a fixed
+order, and connected edge subsets are the connected vertex sets of the
+line graph.  The scans run in one process and in integers (lengths scaled
+by L, the lcm of their denominators; ratios cross-multiplied); each result
+builds one Fraction, for the smallest ratio with the lexicographically
+smallest witness, so results do not depend on the visiting order.
 """
 
 from __future__ import annotations
@@ -116,6 +116,19 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
     return count
 
 
+def _true_degrees(g: MetricGraph, vertices: Iterable[int]) -> list[int]:
+    """True degrees of ``vertices``; FrontierContact if one is unknown."""
+    for v in vertices:
+        if g.true_degree[v] is None:
+            raise FrontierContact(f"vertex {v} has unknown true degree")
+    return [g.true_degree[v] for v in vertices]
+
+
+def length_scale(g: MetricGraph, edge_ids: Iterable[int]) -> int:
+    """L, the lcm of the length denominators of ``edge_ids``: |e| * L is an int."""
+    return math.lcm(*(g.length[e].denominator for e in edge_ids))
+
+
 def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
                                 eligible_edges: Iterable[int] | None = None,
                                 max_yield: int = 2_000_000) -> int:
@@ -124,8 +137,9 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
     ``visit(stack, boundary_degree, measure, index)`` runs once per
     connected subset, where ``stack`` holds indices into the sorted
     eligible edge list (translate via its order when edge ids are needed).
-    The eligible edges default to the frontier-free region.  This is the
-    ESU scan on the line graph.  Returns the number of subsets visited.
+    ``measure`` is an int in units of 1/L, L = ``length_scale(g, eligible
+    edges)``.  The eligible edges default to the frontier-free region.
+    This is the ESU scan on the line graph.  Returns the number of subsets.
     """
     edge_ids = sorted(eligible_edges if eligible_edges is not None
                       else g.frontier_free_edges())
@@ -134,45 +148,30 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
     for e in edge_ids:
         a, b = g.edge_ends[e]
         ends.append((vid.setdefault(a, len(vid)), vid.setdefault(b, len(vid))))
-    truedeg = []
-    for v in vid:
-        td = g.true_degree[v]
-        if td is None:
-            raise FrontierContact(f"vertex {v} has unknown true degree")
-        truedeg.append(td)
-    lengths = [g.length[e] for e in edge_ids]
-    at_vertex: list[list[int]] = [[] for _ in vid]
-    for i, (a, b) in enumerate(ends):
-        at_vertex[a].append(i)
-        at_vertex[b].append(i)
-    nbrs = [sorted(set(at_vertex[a] + at_vertex[b]) - {i})
-            for i, (a, b) in enumerate(ends)]
+    truedeg = _true_degrees(g, vid)
+    scale = length_scale(g, edge_ids)
+    lengths = [int(g.length[e] * scale) for e in edge_ids]
+    index = {e: i for i, e in enumerate(edge_ids)}
+    nbrs = [sorted({index[f] for v in g.edge_ends[e] for f in g.rotation[v]
+                    if f in index} - {i}) for i, e in enumerate(edge_ids)]
 
     deg = [0] * len(vid)
     bd = 0
-    mes = Fraction(0)
+    mes = 0
 
+    # a vertex adds its degree d in S to bd until d reaches its true degree
     def push(i: int) -> None:
         nonlocal bd, mes
         for w in ends[i]:
-            d = deg[w]
-            td = truedeg[w]
-            if 0 < d < td:
-                bd -= d
-            if d + 1 < td:
-                bd += d + 1
-            deg[w] = d + 1
+            d = deg[w] = deg[w] + 1
+            bd += 1 if d < truedeg[w] else 1 - d
         mes += lengths[i]
 
     def pop(i: int) -> None:
         nonlocal bd, mes
         for w in ends[i]:
             d = deg[w]
-            td = truedeg[w]
-            if d < td:
-                bd -= d
-            if 0 < d - 1 < td:
-                bd += d - 1
+            bd += d - 1 if d == truedeg[w] else -1
             deg[w] = d - 1
         mes -= lengths[i]
 
@@ -206,16 +205,11 @@ def _scan_connected_vertex_sets(g: MetricGraph, vertex_ids: Sequence[int],
                                 max_yield: int) -> int:
     """ESU scan over connected sets of the sorted ``vertex_ids``.
 
-    ``visit(stack, degree_sum, internal_edges, index)`` runs once per set;
+    ``visit(stack, boundary_edges, degree_sum, index)`` runs once per set;
     ``stack`` holds indices into ``vertex_ids``.
     """
     vidx = {v: i for i, v in enumerate(vertex_ids)}
-    truedeg = []
-    for v in vertex_ids:
-        td = g.true_degree[v]
-        if td is None:
-            raise FrontierContact(f"vertex {v} has unknown true degree")
-        truedeg.append(td)
+    truedeg = _true_degrees(g, vertex_ids)
     nbrs = [sorted(vidx[w] for w in (g.other_end(e, v) for e in g.rotation[v])
                    if w in vidx)
             for v in vertex_ids]
@@ -237,7 +231,7 @@ def _scan_connected_vertex_sets(g: MetricGraph, vertex_ids: Sequence[int],
         internal -= sum(in_set[j] for j in nbrs[i])
 
     def emit(stack: list[int], idx: int) -> None:
-        visit(stack, sumdeg, internal, idx)
+        visit(stack, sumdeg - 2 * internal, sumdeg, idx)
 
     return _esu(nbrs, max_size, push, pop, emit, max_yield)
 
@@ -261,7 +255,7 @@ def enumerate_starlike_complete(g: MetricGraph, max_generators: int,
                         else g.frontier_free_vertices())
     vertex_sets: list[tuple[int, ...]] = []
 
-    def visit(stack, sumdeg, internal, idx):
+    def visit(stack, cut, sumdeg, idx):
         vertex_sets.append(tuple(vertex_ids[i] for i in stack))
 
     _scan_connected_vertex_sets(g, vertex_ids, max_generators, visit, max_yield)
@@ -289,6 +283,34 @@ def enumerate_starlike_complete(g: MetricGraph, max_generators: int,
 # brute-force upper bounds
 # ---------------------------------------------------------------------------
 
+def _lex_min(scan: Callable[[Callable], int], ids: Sequence[int], what: str,
+             skip_zero: bool = False) -> tuple[int, int, tuple[int, ...], int]:
+    """(num, den, witness ids, count) of the smallest (num/den, sorted set).
+
+    ``scan(visit)`` runs an ESU scan calling ``visit(stack, num, den, index)``
+    per set (den > 0), with no Fraction; ``skip_zero`` drops num = 0.  ESU
+    grows each set from its smallest index, ``stack[0]``, and visits roots
+    in increasing order: a tie whose ``stack[0]`` exceeds the best's first
+    index cannot give a smaller witness and is skipped unsorted.
+    """
+    best_num, best_den, best = 1, 0, None  # 1/0 is above every ratio
+
+    def visit(stack, num, den, index):
+        nonlocal best_num, best_den, best
+        left, right = num * best_den, best_num * den
+        if left > right or (left == right and stack[0] > best[0]) \
+                or (skip_zero and not num):
+            return
+        witness = sorted(stack)
+        if left < right or witness < best:
+            best_num, best_den, best = num, den, witness
+
+    count = scan(visit)
+    if best is None:
+        raise BudgetExceeded(f"no {what} enumerated", 0)
+    return best_num, best_den, tuple(ids[i] for i in best), count
+
+
 @dataclass(frozen=True)
 class BruteForceResult:
     bound: Bound
@@ -309,26 +331,14 @@ def alpha_upper_bruteforce(g: MetricGraph, budget: Budget,
     """
     edge_ids = sorted(eligible_edges if eligible_edges is not None
                       else g.frontier_free_edges())
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-
-    def visit(stack, bd, mes, idx):
-        nonlocal best
-        if proper_only and bd == 0:
-            return
-        ratio = Fraction(bd) / mes
-        if best is None or ratio <= best[0]:
-            witness = tuple(sorted(edge_ids[i] for i in stack))
-            if best is None or ratio < best[0] or witness < best[1]:
-                best = (ratio, witness)
-
-    count = scan_connected_edge_subsets(g, budget.max_edges, visit, edge_ids,
-                                        budget.max_yield)
-    if best is None:
-        raise BudgetExceeded("no subgraph enumerated", 0)
-    bound = Bound(value=best[0], provenance="bruteforce_upper", side="upper",
-                  certified=True, witness=best[1],
-                  note=f"min over {count} connected subgraphs "
-                       f"(<= {budget.max_edges} edges)")
+    bd, mes, witness, count = _lex_min(
+        lambda visit: scan_connected_edge_subsets(
+            g, budget.max_edges, visit, edge_ids, budget.max_yield),
+        edge_ids, "subgraph", skip_zero=proper_only)
+    bound = Bound(value=Fraction(bd * length_scale(g, edge_ids), mes),
+                  provenance="bruteforce_upper", side="upper", certified=True,
+                  witness=witness, note=f"min over {count} connected subgraphs "
+                                        f"(<= {budget.max_edges} edges)")
     return BruteForceResult(bound=bound, enumerated=count)
 
 
@@ -345,21 +355,11 @@ def alpha_comb_upper_bruteforce(g: MetricGraph, budget: Budget,
     """min (#boundary edges of U) / (sum of degrees in U) over vertex sets."""
     vertex_ids = sorted(eligible_vertices if eligible_vertices is not None
                         else g.frontier_free_vertices())
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-
-    def visit(stack, sumdeg, internal, idx):
-        nonlocal best
-        ratio = Fraction(sumdeg - 2 * internal, sumdeg)
-        if best is None or ratio <= best[0]:
-            witness = tuple(sorted(vertex_ids[i] for i in stack))
-            if best is None or ratio < best[0] or witness < best[1]:
-                best = (ratio, witness)
-
-    count = _scan_connected_vertex_sets(g, vertex_ids, budget.max_generators,
-                                        visit, budget.max_yield)
-    if best is None:
-        raise BudgetExceeded("no vertex set enumerated", 0)
-    return CombUpperResult(value=best[0], witness_vertices=best[1],
+    cut, sumdeg, witness, count = _lex_min(
+        lambda visit: _scan_connected_vertex_sets(
+            g, vertex_ids, budget.max_generators, visit, budget.max_yield),
+        vertex_ids, "vertex set")
+    return CombUpperResult(value=Fraction(cut, sumdeg), witness_vertices=witness,
                            enumerated=count)
 
 

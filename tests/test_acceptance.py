@@ -39,6 +39,7 @@ from isotess.isoperimetry import (
     alpha_upper_bruteforce,
     enumerate_starlike_complete,
     equilateral_transform,
+    length_scale,
     scan_connected_edge_subsets,
 )
 
@@ -267,11 +268,12 @@ def test_criterion_09_reduction_oracle():
         # all lengths are 1: min over e in S of 2/|e| is always 2
         floor = min(Fraction(2), sc_min)
         num, den = floor.numerator, floor.denominator
+        scale = length_scale(big, inside)  # the scan's mes is mes(S) * scale
         violations = []
 
         def visit(stack, bd, mes, idx):
-            # ratio(S) >= floor  <=>  bd * den * mes.den >= num * mes.num
-            if bd * den * mes.denominator < num * mes.numerator:
+            # ratio(S) = bd * scale / mes >= floor  <=>  bd * scale * den >= num * mes
+            if bd * scale * den < num * mes:
                 violations.append(tuple(stack))
 
         scan_connected_edge_subsets(big, 8, visit, eligible_edges=inside,

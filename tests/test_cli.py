@@ -202,6 +202,19 @@ def test_witness_command(tmp_path, capsys):
     assert run(["witness", "--k", "3", "--l", "2", "--input", str(g3)]) == 2
     err = capsys.readouterr().err
     assert "GraphError: tree cut has" in err and "Traceback" not in err
+    # k, tree_depth and cols are read as JSON integers (exit 4 when missing
+    # or not one); a cols that names no vertex fails the precondition (exit 2)
+    for edit, code, name in ((lambda f: f.pop("tree_depth"), 4, "tree_depth"),
+                             (lambda f: f.update(cols="3"), 4, "cols"),
+                             (lambda f: f.update(cols=1000000), 2, "cols"),
+                             (lambda f: f.update(k=3.0), 4, "k must be")):
+        run(["gen", "gk", "--k", "3", "--output", str(g3)])
+        record = read(g3)
+        edit(record["family"])
+        save(record, g3)
+        assert run(["witness", "--k", "3", "--l", "2", "--input", str(g3)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and name in err
 
 
 def test_gen_roundtrip_validates(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -183,6 +185,57 @@ def test_witness_independent_of_workers():
     results = [alpha_upper_bruteforce(g, Budget(max_edges=5), workers=w)
                for w in (1, 4, 8)]
     assert len({(r.bound.value, r.bound.witness) for r in results}) == 1
+
+
+def naive_alpha_upper(g, max_edges):
+    """Combination filter oracle: the number of connected edge subsets with
+    <= max_edges edges, and their least (ratio, sorted edge ids), over all
+    of them and over those with nonempty boundary."""
+    subsets = naive_connected_subsets(g, max_edges)
+    items = []
+    for sub in subsets:
+        deg = Counter(v for e in sub for v in g.edge_ends[e])
+        bd = sum(d for v, d in deg.items() if d < g.true_degree[v])
+        items.append((bd / sum(g.length[e] for e in sub), tuple(sorted(sub))))
+    return len(subsets), min(items), min(item for item in items if item[0])
+
+
+def _rational_lengths(rng, n):
+    dens = (1, 2, 3, 4, 5, 7)  # cycled, so each record has several denominators
+    return {i: Fraction(rng.randrange(1, 13 * dens[i % 6]), dens[i % 6])
+            for i in range(n)}
+
+
+def _edge_scan_cases():
+    rng = random.Random(5)
+    cases = [(f"{name}-rational", record) for name, record
+             in finite_corpus(lambda name, n: _rational_lengths(rng, n))]
+    for copy in range(2):
+        record = gen_pq_ball(PQParams(4, 4), 2)
+        lengths = _rational_lengths(rng, len(record["edges"]))
+        for item in record["edges"]:
+            item["length"] = str(lengths[item["id"]])
+        cases.append((f"pq44r2-rational{copy}", record))
+    # equilateral graphs, where many subsets tie the minimum ratio; on K4
+    # and trihex a tied subset visited later has the smaller witness
+    cases += [("pq73r1", gen_pq_ball(PQParams(7, 3), 1)),
+              ("pq44r2", gen_pq_ball(PQParams(4, 4), 2)), *finite_corpus()]
+    return cases
+
+
+@pytest.mark.parametrize("name,record", _edge_scan_cases())
+def test_edge_scan_matches_naive_filter(name, record):
+    # the integer scan (lengths scaled by L, cross-multiplied ratios, tied
+    # subsets skipped by their smallest index) against exact Fractions
+    g = build_graph(record)
+    if "rational" in name:
+        assert len({g.length[e].denominator for e in g.edges}) >= 3
+    count, *bests = naive_alpha_upper(g, 6)
+    for proper_only, best in zip((False, True), bests):
+        res = alpha_upper_bruteforce(g, Budget(max_edges=6), eligible_edges=g.edges,
+                                     proper_only=proper_only)
+        assert res.enumerated == count
+        assert (res.bound.value, res.bound.witness) == best
 
 
 # --- combinatorial upper bounds ----------------------------------------------
