@@ -79,15 +79,10 @@ def _weights(g: MetricGraph) -> dict[int, Fraction | None]:
     return out
 
 
-def characteristic_value(g: MetricGraph, e: int) -> Fraction | None:
-    """c(e), or None when frontier-tainted data is needed."""
-    return char_values(g, edges=[e])[e]
-
-
-def char_values(g: MetricGraph, edges=None) -> dict[int, Fraction | None]:
+def char_values(g: MetricGraph) -> dict[int, Fraction | None]:
     weights = _weights(g)
     out: dict[int, Fraction | None] = {}
-    for e in (g.edges if edges is None else edges):
+    for e in g.edges:
         a, b = g.edge_ends[e]
         wa, wb = weights[a], weights[b]
         if wa is None or wb is None:

@@ -14,12 +14,23 @@ frontier is *indeterminate* unless the input explicitly declares it
 unbounded.  Frontier vertices are assumed to lie on the outer rim of the
 truncation (ball-like truncations); the generators in :mod:`isotess.families`
 guarantee this.
+
+Closure and classification of a selection need the bounded faces of its
+interior graph H (``_bounded_faces``).  When H is connected, as it is for
+every star-like selection, they cost O(|H| + size of the bounded faces):
+H's faces are traced with the rotation restricted to H, and only the
+faces that are not single tiles are flooded, in lock-step, until the
+outer face is the one left.  The full flood over every tile, O(|G|), runs
+only when H is empty or disconnected, when no tile of the graph is
+unbounded or indeterminate, or when an enclosed face reaches such a tile
+(a frontier pocket).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -111,6 +122,11 @@ class MetricGraph:
     def frontier_free_vertices(self) -> list[int]:
         fr = self.frontier_vertices
         return [v for v in self.vertices if v not in fr]
+
+    @cached_property
+    def has_open_tile(self) -> bool:
+        """Whether some tile is unbounded or indeterminate."""
+        return any(t.status != BOUNDED for t in self.tiles)
 
 
 @dataclass(frozen=True)
@@ -452,41 +468,159 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
         interior_vertices=interior_vertices, interior_edges=interior_edges)
 
 
-def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
-    """Bounded faces of the interior graph, as groups of ambient tiles.
+def _interior_faces(g: MetricGraph, inner: frozenset[int]):
+    """Faces of the graph H induced on ``inner``; None when H is empty or disconnected.
 
-    Tiles lie in one face of the interior graph when they meet at a vertex
-    outside it.  This also joins the two tiles beside an edge outside it:
-    the edge has an end w that is not interior (an interior vertex has its
-    whole star selected), and both tiles are corners at w.  Returns
-    ``(groups, ambiguous)``: the tile-index lists of the groups with only
-    bounded tiles, and whether more than one group touches indeterminate
-    data (so the outer face cannot be identified).
+    The faces are traced with the ambient rotation restricted to H, in
+    O(sum of the degrees over ``inner``).  Returns ``(singles, others)``:
+    the tiles whose dart cycle is a whole face cycle of H, and for every
+    other face the set of tiles beside its darts.  A single vertex has one
+    face, seeded with the tiles around it.
     """
-    parent = list(range(len(g.tiles)))
+    if not inner:
+        return None
+    ends = g.edge_ends
+    rot: dict[int, list[int]] = {}
+    for v in inner:
+        rot[v] = [e for e in g.rotation[v] if ends[e][0] in inner and ends[e][1] in inner]
+    v0 = next(iter(inner))
+    reached = {v0}
+    stack = [v0]
+    while stack:
+        v = stack.pop()
+        for e in rot[v]:
+            a, b = ends[e]
+            w = b if a == v else a
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != len(inner):
+        return None
+    if not rot[v0]:
+        return [], [{g.dart_tile[(e, v0)] for e in g.rotation[v0]}]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in g.vertices:
-        if v in interior_vertices:
+    succ: dict[Dart, int] = {}
+    for v, r in rot.items():
+        for i, e in enumerate(r):
+            succ[(e, v)] = r[i + 1 - len(r)]
+    singles: list[int] = []
+    others: list[set[int]] = []
+    traced: set[Dart] = set()
+    for d in succ:
+        if d in traced:
             continue
-        rot = g.rotation[v]
-        first = find(g.dart_tile[(rot[0], v)])
-        for e in rot[1:]:
-            parent[find(g.dart_tile[(e, v)])] = first
+        cycle = []
+        while d not in traced:
+            traced.add(d)
+            cycle.append(d)
+            e = succ[d]
+            a, b = ends[e]
+            d = (e, b if a == d[1] else a)
+        t = g.dart_tile[cycle[0]]
+        face = {g.dart_tile[d] for d in cycle}
+        if face == {t} and len(g.tiles[t].cycle) == len(cycle):
+            singles.append(t)
+        else:
+            others.append(face)
+    return singles, others
 
-    groups: dict[int, list[int]] = {}
-    statuses: dict[int, set[str]] = {}
-    for t in g.tiles:
-        root = find(t.index)
-        groups.setdefault(root, []).append(t.index)
-        statuses.setdefault(root, set()).add(t.status)
-    bounded = [ts for root, ts in groups.items() if statuses[root] == {BOUNDED}]
-    return bounded, sum(INDETERMINATE in st for st in statuses.values()) > 1
+
+def _lockstep(g: MetricGraph, faces: list[set[int]], across) -> list[list[int]] | None:
+    """Flood the tiles of each face one tile per face per turn, until one is left.
+
+    This is the parallel search of Even and Shiloach (J. ACM 1981): the
+    floods stop when all but one have finished, so the cost is at most the
+    number of faces times the size of the largest finished one.  Returns
+    the tile lists of the finished faces, or None when one of them holds a
+    tile that is not bounded, or when two floods meet (possible only on a
+    rotation system that is not planar).
+    """
+    owner: dict[int, int] = {}
+    groups: list[list[int]] = []
+    for i, face in enumerate(faces):
+        for t in face:
+            if owner.setdefault(t, i) != i:
+                return None
+        groups.append(list(face))
+    done: list[list[int]] = []
+    expanded = [0] * len(groups)
+    live = deque(range(len(groups)))
+    while len(live) > 1:
+        i = live.popleft()
+        group = groups[i]
+        for u in across(group[expanded[i]]):
+            if u not in owner:
+                owner[u] = i
+                group.append(u)
+            elif owner[u] != i:
+                return None
+        expanded[i] += 1
+        if expanded[i] < len(group):
+            live.append(i)
+        elif any(g.tiles[t].status != BOUNDED for t in group):
+            return None
+        else:
+            done.append(group)
+    return done
+
+
+def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
+    """Bounded faces of the interior graph H, as groups of ambient tiles.
+
+    H is the graph induced on ``interior_vertices``; every edge of H is
+    selected, since an interior vertex has its whole star selected.  The
+    tiles inside one face of H are those joined by crossing edges outside
+    H.  Returns ``(groups, ambiguous)``: the tile-index lists of the faces
+    with only bounded tiles, and whether more than one face touches
+    indeterminate data (so the outer face cannot be identified).
+
+    Cost: O(|H| + size of the bounded faces) when H is connected, which it
+    is for every star-like selection.  A face of H whose dart cycle is one
+    tile's cycle is that tile, with no flooding.  If all faces but one are
+    such bounded tiles and the graph has a tile that is not bounded, the
+    remaining face is the outer one; otherwise the tiles of the remaining
+    faces are flooded in lock-step until one face is left, which is the
+    outer one.  The full flood over every tile of the graph, O(|G|), runs
+    when these rules cannot settle the answer: H is empty or disconnected,
+    every tile of the graph is bounded, a face that is a single tile is
+    not bounded, or a finished flood reaches a tile that is not bounded.
+    """
+    inner = interior_vertices
+    ends, tiles, dart_tile = g.edge_ends, g.tiles, g.dart_tile
+
+    def across(t: int):
+        """The tiles beside tile ``t`` across its edges outside H."""
+        for e, v in tiles[t].cycle:
+            a, b = ends[e]
+            if a not in inner or b not in inner:
+                yield dart_tile[(e, b if v == a else a)]
+
+    faces = _interior_faces(g, inner)
+    if faces is not None and g.has_open_tile:
+        singles, others = faces
+        if all(tiles[t].status == BOUNDED for t in singles):
+            done = _lockstep(g, others, across)
+            if done is not None:
+                return [[t] for t in singles] + done, False
+
+    seen = [False] * len(tiles)
+    groups: list[list[int]] = []
+    indeterminate = 0
+    for root in range(len(tiles)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        group = [root]
+        for t in group:
+            for u in across(t):
+                if not seen[u]:
+                    seen[u] = True
+                    group.append(u)
+        statuses = {tiles[t].status for t in group}
+        if statuses == {BOUNDED}:
+            groups.append(group)
+        indeterminate += INDETERMINATE in statuses
+    return groups, indeterminate > 1
 
 
 def classify_subgraph(g: MetricGraph, sel: SubgraphSelection) -> tuple[bool, bool]:
