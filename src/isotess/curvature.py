@@ -12,10 +12,18 @@ the two distinct unbounded tiles of the infinite graph.
 
 Quantities touching a frontier vertex or an indeterminate tile are None
 (indeterminate), never silently wrong.
+
+Every value is exact and normalised once.  Weights and the Gauss-Bonnet
+total are sums over the lcm of their terms' denominators
+(:func:`~isotess.rational.exact_sum`); c(e) and the vertex curvature
+kappa(v) are built from the integer numerators and denominators of their
+terms (1/(n/d) = d/n) as one Fraction each; the maxima M and P are
+compared by cross-multiplication, and only the winner becomes a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,7 +42,7 @@ from .graphcore import (
     classify_subgraph,
     validate_tessellation,
 )
-from .rational import INF, Extended, reciprocal
+from .rational import INF, Extended, exact_sum, reciprocal
 
 
 @dataclass
@@ -66,42 +74,62 @@ def vertex_weight(g: MetricGraph, v: int) -> Fraction:
     """m(v): total length of the star at v."""
     if v in g.frontier_vertices:
         raise FrontierContact(f"vertex {v} is a frontier vertex")
-    return sum((g.length[e] for e in g.rotation[v]), Fraction(0))
+    return exact_sum([g.length[e] for e in g.rotation[v]])
 
 
 def _weights(g: MetricGraph) -> dict[int, Fraction | None]:
-    out: dict[int, Fraction | None] = {}
-    for v in g.vertices:
-        if v in g.frontier_vertices:
-            out[v] = None
-        else:
-            out[v] = sum((g.length[e] for e in g.rotation[v]), Fraction(0))
-    return out
+    fr, length, rotation = g.frontier_vertices, g.length, g.rotation
+    return {v: None if v in fr else exact_sum([length[e] for e in rotation[v]])
+            for v in g.vertices}
 
 
 def char_values(g: MetricGraph) -> dict[int, Fraction | None]:
-    weights = _weights(g)
+    return _char_values(g, _weights(g))
+
+
+def _char_values(g: MetricGraph, weights: dict[int, Fraction | None]
+                 ) -> dict[int, Fraction | None]:
+    """c(e) for every edge, given the weights m(v).
+
+    The subtracted reciprocals 1/m(v) and 1/p(T) are kept as int pairs
+    (d, n) for d/n: 1/(n/d) = d/n, and 1/p = 0/1 on an unbounded tile.
+    None marks a frontier vertex or an indeterminate tile.
+    """
+    inv_m = {v: None if w is None else (w.denominator, w.numerator)
+             for v, w in weights.items()}
+    inv_p = [(t.perimeter.denominator, t.perimeter.numerator) if t.status == BOUNDED
+             else (0, 1) if t.status == UNBOUNDED else None for t in g.tiles]
+    dart_tile, length = g.dart_tile, g.length
     out: dict[int, Fraction | None] = {}
     for e in g.edges:
         a, b = g.edge_ends[e]
-        wa, wb = weights[a], weights[b]
-        if wa is None or wb is None:
+        terms = (inv_m[a], inv_m[b], inv_p[dart_tile[(e, a)]], inv_p[dart_tile[(e, b)]])
+        if None in terms:
             out[e] = None
             continue
-        value = Fraction(1) / g.length[e] - Fraction(1) / wa - Fraction(1) / wb
-        ok = True
-        for dart in g.darts_of(e):
-            tile = g.tile_of(dart)
-            if tile.status == INDETERMINATE:
-                out[e] = None
-                ok = False
-                break
-            if tile.status == BOUNDED:
-                value -= Fraction(1) / tile.perimeter
-            # unbounded: 1/p = 0
-        if ok:
-            out[e] = value
+        ell = length[e]
+        den = math.lcm(ell.numerator, *[n for _, n in terms])
+        out[e] = Fraction(ell.denominator * (den // ell.numerator)
+                          - sum([d * (den // n) for d, n in terms]), den)
     return out
+
+
+def _corner_degrees(g: MetricGraph, v: int) -> list[int] | None:
+    """Degrees of the bounded tiles at the corners of v; None if one is indeterminate."""
+    degrees = []
+    for e in g.rotation[v]:
+        tile = g.tiles[g.dart_tile[(e, v)]]
+        if tile.status == BOUNDED:
+            degrees.append(tile.degree)
+        elif tile.status == INDETERMINATE:
+            return None
+    return degrees
+
+
+def _kappa(degree: int, corner_degrees: list[int]) -> Fraction:
+    """1 - degree/2 + sum of 1/d over ``corner_degrees``, over their lcm."""
+    den = math.lcm(2, *corner_degrees)
+    return Fraction(den - degree * (den // 2) + sum([den // d for d in corner_degrees]), den)
 
 
 def vertex_curvature(g: MetricGraph, v: int) -> Fraction:
@@ -112,24 +140,32 @@ def vertex_curvature(g: MetricGraph, v: int) -> Fraction:
     """
     if v in g.frontier_vertices:
         raise FrontierContact(f"vertex {v} is a frontier vertex")
-    value = Fraction(1) - Fraction(g.degree(v), 2)
-    for e in g.rotation[v]:
-        tile = g.tile_of((e, v))
-        if tile.status == INDETERMINATE:
-            raise FrontierContact(f"corner tile of vertex {v} touches the frontier")
-        if tile.status == BOUNDED:
-            value += Fraction(1, tile.degree)
-    return value
+    degrees = _corner_degrees(g, v)
+    if degrees is None:
+        raise FrontierContact(f"corner tile of vertex {v} touches the frontier")
+    return _kappa(g.degree(v), degrees)
 
 
 def vertex_curvatures(g: MetricGraph) -> dict[int, Fraction | None]:
     out: dict[int, Fraction | None] = {}
     for v in g.vertices:
-        try:
-            out[v] = vertex_curvature(g, v)
-        except FrontierContact:
-            out[v] = None
+        degrees = None if v in g.frontier_vertices else _corner_degrees(g, v)
+        out[v] = None if degrees is None else _kappa(g.degree(v), degrees)
     return out
+
+
+def _max_ratio(pairs) -> Fraction | None:
+    """max of x/y over (x, y) pairs of positive Fractions; None when empty.
+
+    Candidates are compared by cross-multiplication; only the winner
+    becomes a Fraction.
+    """
+    best_num, best_den = 0, 0
+    for x, y in pairs:
+        num, den = x.numerator * y.denominator, x.denominator * y.numerator
+        if not best_den or num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den) if best_den else None
 
 
 def global_constants(g: MetricGraph) -> CurvatureReport:
@@ -140,41 +176,31 @@ def global_constants(g: MetricGraph) -> CurvatureReport:
     1/((M-2)P).  On truncations these are observed values.
     """
     weights = _weights(g)
-    cvals = char_values(g)
+    cvals = _char_values(g, weights)
     kappas = vertex_curvatures(g)
 
     free_vertices = [v for v in g.vertices if weights[v] is not None]
     if not free_vertices:
         raise EmptyFrontierFreeRegion("every vertex touches the frontier")
 
-    ell_star = max(g.length.values())
-    ell_min = min(g.length.values())
+    length = g.length
+    ell_star = max(length.values())
+    ell_min = min(length.values())
 
-    M: Fraction | None = None
-    deg_star: int | None = None
-    for v in free_vertices:
-        ratio = weights[v] / min(g.length[e] for e in g.rotation[v])
-        M = ratio if M is None else max(M, ratio)
-        d = g.degree(v)
-        deg_star = d if deg_star is None else max(deg_star, d)
+    # M = max over v of m(v)/min_{e at v} |e| = max over v and e at v of m(v)/|e|
+    M = _max_ratio((weights[v], length[e]) for v in free_vertices for e in g.rotation[v])
+    deg_star = max(g.degree(v) for v in free_vertices)
 
-    perims: dict[int, Extended | None] = {}
-    has_unbounded = False
-    bounded_P: Fraction | None = None
-    bounded_dT: int | None = None
-    n_tiles = 0
-    for t in g.tiles:
-        perims[t.index] = t.perimeter
-        if t.status == UNBOUNDED:
-            has_unbounded = True
-            n_tiles += 1
-        elif t.status == BOUNDED:
-            n_tiles += 1
-            ratio = t.perimeter / min(g.length[e] for e in t.edges)
-            bounded_P = ratio if bounded_P is None else max(bounded_P, ratio)
-            bounded_dT = t.degree if bounded_dT is None else max(bounded_dT, t.degree)
-    P: Extended | None = INF if has_unbounded else bounded_P
-    dT_star: Extended | None = INF if has_unbounded else bounded_dT
+    perims: dict[int, Extended | None] = {t.index: t.perimeter for t in g.tiles}
+    bounded = [t for t in g.tiles if t.status == BOUNDED]
+    n_unbounded = sum(t.status == UNBOUNDED for t in g.tiles)
+    P: Extended | None
+    dT_star: Extended | None
+    if n_unbounded:
+        P = dT_star = INF
+    else:
+        P = _max_ratio((t.perimeter, length[e]) for t in bounded for e in t.edges)
+        dT_star = max((t.degree for t in bounded), default=None)
 
     determinate_c = [c for c in cvals.values() if c is not None]
     c_star = min(determinate_c) if determinate_c else None
@@ -201,7 +227,7 @@ def global_constants(g: MetricGraph) -> CurvatureReport:
         counts={
             "frontier_free_vertices": len(free_vertices),
             "frontier_free_edges": sum(1 for c in cvals.values() if c is not None),
-            "frontier_free_tiles": n_tiles,
+            "frontier_free_tiles": len(bounded) + n_unbounded,
         },
     )
 
@@ -224,9 +250,7 @@ def gauss_bonnet_check(g: MetricGraph) -> GaussBonnetResult:
             "; ".join(f"({v.condition}) {v.witness}: {v.detail}"
                       for v in report.violations))
     cvals = char_values(g)
-    total = Fraction(0)
-    for e in g.edges:
-        total += -cvals[e] * g.length[e]
+    total = -exact_sum([cvals[e] * g.length[e] for e in g.edges])
     return GaussBonnetResult(total=total, holds=total == 1)
 
 
@@ -258,12 +282,13 @@ def degsum_check(g: MetricGraph, sel: SubgraphSelection,
     if report is None:
         report = global_constants(g)
 
-    lhs = Fraction(0)
+    terms = []
     for e in sel.edges:
         c = report.char_value[e]
         if c is None:
             raise FrontierContact(f"edge {e} has indeterminate characteristic value")
-        lhs += c * g.length[e]
+        terms.append(c * g.length[e])
+    lhs = exact_sum(terms)
     rhs = Fraction(sel.boundary_degree)
 
     cut_sides = 0

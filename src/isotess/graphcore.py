@@ -45,7 +45,7 @@ from .errors import (
     NonPositiveLength,
     NonSimple,
 )
-from .rational import INF, Extended, parse_rational
+from .rational import INF, Extended, exact_sum, parse_rational
 
 Dart = tuple[int, int]  # (edge id, head vertex id)
 
@@ -225,6 +225,9 @@ def build_graph(record: Mapping) -> MetricGraph:
     rotation: dict[int, tuple[int, ...]] = {}
     edge_ends: dict[int, tuple[int, int]] = {}
     length: dict[int, Fraction] = {}
+    # one parse per distinct length string; keyed on str only, since
+    # True == 1 == 1.0 would let a bool or float through a memo hit
+    parsed: dict[str, Fraction] = {}
     pair_seen: set[tuple[int, int]] = set()
     try:
         for item in record["vertices"]:
@@ -247,9 +250,14 @@ def build_graph(record: Mapping) -> MetricGraph:
                 raise NonSimple(f"parallel edge {eid} between {a} and {b}")
             pair_seen.add(pair)
             edge_ends[eid] = (a, b)
-            ell = parse_rational(item["length"])
-            if ell <= 0:
-                raise NonPositiveLength(f"edge {eid} has length {ell}")
+            raw = item["length"]
+            ell = parsed.get(raw) if type(raw) is str else None
+            if ell is None:
+                ell = parse_rational(raw)
+                if ell <= 0:
+                    raise NonPositiveLength(f"edge {eid} has length {ell}")
+                if type(raw) is str:
+                    parsed[raw] = ell
             length[eid] = ell
 
         frontier = frozenset(map(_int, record.get("frontier_vertices", ())))
@@ -333,7 +341,7 @@ def build_graph(record: Mapping) -> MetricGraph:
             perimeter = None
         else:
             status = BOUNDED
-            perimeter = sum((length[e] for e in edges), Fraction(0))
+            perimeter = exact_sum([length[e] for e in edges])
         tiles.append(Tile(index=idx, cycle=tuple(cycle), edges=edges,
                           degree=len(edges), status=status, perimeter=perimeter,
                           touches_frontier=touches))
@@ -461,7 +469,7 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
     interior_edges = frozenset(
         e for e in edges
         if g.edge_ends[e][0] in interior_vertices and g.edge_ends[e][1] in interior_vertices)
-    measure = sum((g.length[e] for e in edges), Fraction(0))
+    measure = exact_sum([g.length[e] for e in edges])
     return SubgraphSelection(
         edges=edges, vertices=vertices, boundary=frozenset(boundary),
         boundary_degree=boundary_degree, measure=measure,
@@ -662,7 +670,9 @@ def complete_closure(g: MetricGraph, sel: SubgraphSelection) -> SubgraphSelectio
     Repeatedly adds the full stars of every vertex lying strictly inside a
     bounded face of the interior graph: the non-interior heads of the dart
     cycles of its tiles.  The result is star-like and complete, and its
-    boundary degree never exceeds the input's.
+    boundary degree never exceeds the input's.  Those faces hold only
+    bounded tiles, and ``build_graph`` never marks a tile with a frontier
+    vertex on its cycle bounded, so every added star is complete.
     """
     edges = set(sel.edges)
     current = sel
@@ -674,10 +684,6 @@ def complete_closure(g: MetricGraph, sel: SubgraphSelection) -> SubgraphSelectio
                   if v not in current.interior_vertices}
         if not to_add:
             break
-        blocked = to_add & g.frontier_vertices
-        if blocked:
-            raise FrontierContact(
-                f"closure needs the full star of frontier vertex {min(blocked)}")
         for v in to_add:
             edges.update(g.rotation[v])
         current = subgraph_stats(g, edges)

@@ -32,7 +32,7 @@ from .graphcore import (
     complete_closure,
     subgraph_stats,
 )
-from .rational import INF
+from .rational import INF, exact_sum
 
 
 @dataclass(frozen=True)
@@ -401,16 +401,9 @@ def lower_bounds(g: MetricGraph, report: CurvatureReport | None = None,
             selections = []
         averages = []
         for sel in selections:
-            total = Fraction(0)
-            ok = True
-            for e in sel.edges:
-                c = report.char_value[e]
-                if c is None:
-                    ok = False
-                    break
-                total += c * g.length[e]
-            if ok:
-                averages.append(total / sel.measure)
+            terms = [(report.char_value[e], g.length[e]) for e in sel.edges]
+            if all(c is not None for c, _ in terms):
+                averages.append(exact_sum([c * ell for c, ell in terms]) / sel.measure)
         if averages:
             value = min(Fraction(2) / report.ell_star, min(averages))
             out.append(Bound(value=value, provenance="est01_empirical",

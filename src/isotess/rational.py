@@ -1,8 +1,11 @@
 """Exact rational arithmetic helpers with an explicit +infinity element.
 
-All graph quantities (lengths, weights, perimeters, characteristic values)
-are `fractions.Fraction` values.  Unbounded tile perimeters are represented
-by ``INF`` (the float infinity), and every reciprocal taken through
+Every graph quantity that is stored or reported (lengths, weights,
+perimeters, characteristic values, curvatures) is a `fractions.Fraction`.
+Hot loops work on the integer numerators and denominators instead and
+build one Fraction per result: :func:`exact_sum` adds its terms over the
+lcm of their denominators.  Unbounded tile perimeters are represented by
+``INF`` (the float infinity), and every reciprocal taken through
 :func:`reciprocal` obeys the convention 1/inf == 0 exactly.
 """
 
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 INF = float("inf")
 
@@ -26,6 +30,17 @@ def reciprocal(x: Extended) -> Fraction:
     if is_inf(x):
         return Fraction(0)
     return Fraction(1) / x
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The sum of ``values`` as one Fraction, normalised once.
+
+    The numerators are scaled to the lcm of the denominators and added as
+    ints; the empty sum is 0.
+    """
+    values = list(values)
+    scale = math.lcm(*[x.denominator for x in values])
+    return Fraction(sum([x.numerator * (scale // x.denominator) for x in values]), scale)
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -264,9 +265,16 @@ def test_gen_invalid_params_exit(tmp_path, capsys):
         rotation=[float(e) for e in r["vertices"][0]["rotation"]]),
     lambda r: r["edges"][0].update(ends=[r["edges"][0]["ends"][0], True]),
     lambda r: r.update(true_degree={"0": 3.7}),
+    # True == 1 == 1.0: a value after an equal valid length is still checked
+    lambda r: r["edges"][1].update(length=True),
+    lambda r: r["edges"][1].update(length=1.0),
+    lambda r: (r["edges"][0].update(length=1), r["edges"][1].update(length=True)),
+    lambda r: (r["edges"][0].update(length=1), r["edges"][1].update(length=1.0)),
 ], ids=["no-rotation", "id-not-int", "no-vertices", "true-degree-not-int",
         "short-face-rep", "three-ends", "no-length", "vertex-id-float",
-        "edge-id-float", "rotation-floats", "edge-end-bool", "true-degree-float"])
+        "edge-id-float", "rotation-floats", "edge-end-bool", "true-degree-float",
+        "length-bool-after-str", "length-float-after-str", "length-bool-after-int",
+        "length-float-after-int"])
 def test_malformed_record_exit_code(tmp_path, capsys, mutate):
     record = k4_record()
     mutate(record)
@@ -433,6 +441,21 @@ REPORT_DIGESTS = {
         "comb-alpha": (0, "6e5a66b3e6ae5d371a202e588c7b12af8185d7bbb13cc279a7e5f7c5bf6f0da2"),
         "compare": (0, "f1aa9fb98bb7202d2b3fdeba622a092371d00bd7e6e0928c17f13a42a45a56cd"),
     },
+    # seeded rational lengths, decimal strings among them (_relength)
+    "W5-rational": {
+        "validate": (0, "551e8b16fb16689c94a6ea354e7ef5b1eac5e05cc91d566783e4a9bc49760748"),
+        "faces": (0, "0d727963d64df4330768a2d73bb460ebef85003729f93d0756cb16df41bfcede"),
+        "curvature": (0, "294d752109c147ab78658340c9a3fdd632b6fe8567160a5575c7012576316344"),
+        "gauss-bonnet": (0, "36a983c609cf787b26c530d62730a6cae4b93d99b37c8fb84c45ddbe98420930"),
+        "bounds": (0, "ce3a4dc0d3680feac9814b7a6d049c78c9b6817c7dbc14c687334e9db909e697"),
+    },
+    "pq44r2-rational": {
+        "validate": (0, "3f750885f0113fe1dfb4a69b020e9a122c7fa8bafa94099feeb693c55142bde6"),
+        "faces": (0, "0e02c5eb2a3815f1d67b1a303d15bf0f3d78f8166681c6c35d9bcb435c9af77d"),
+        "curvature": (0, "316901b6633f61d6094b93be0baaea9cf1b17d9c5d794b04e6f0f9529abb80d6"),
+        "gauss-bonnet": (2, "cd5cb75c5ae372f370b1e09b359b230bd84873728d2cad2b830e51e412f24241"),
+        "bounds": (0, "0e8134eb5e285931d7440566a96b64e304274d5c05667fde85bf791381173509"),
+    },
     "netree63": {
         "validate": (0, "cfabcbe7918bce91aa603ef9bc29522b979776ca0a90844ff74941ef03f57fa7"),
         "faces": (0, "534e552b36af8d97e65d73a4cb9106f8cbfc8103a5233110b7063f0aafca150f"),
@@ -454,6 +477,16 @@ _GENERATED = {
 }
 
 
+LENGTH_POOL = ["1", "0.25", "3/2", "2", "7/3", "0.2", "5/8", "9/7"]
+
+
+def _relength(record: dict, seed: str) -> dict:
+    rng = random.Random(seed)
+    for item in record["edges"]:
+        item["length"] = rng.choice(LENGTH_POOL)
+    return record
+
+
 @pytest.fixture(scope="module")
 def pinned_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("pinned")
@@ -464,6 +497,10 @@ def pinned_inputs(tmp_path_factory):
     for name, argv in _GENERATED.items():
         paths[name] = root / f"{name}.json"
         assert main(["gen", *argv, "--output", str(paths[name])]) == 0
+    for name in ("W5", "pq44r2"):
+        rational = f"{name}-rational"
+        paths[rational] = root / f"{rational}.json"
+        save(_relength(read(paths[name]), rational), paths[rational])
     return paths
 
 

@@ -246,6 +246,20 @@ def _with_reference(monkeypatch, fn, *args):
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_frontier_tiles_are_never_bounded(name):
+    # complete_closure absorbs only the tiles of all-bounded faces and so
+    # never needs the star of a frontier vertex: build_graph must mark
+    # every tile with a frontier vertex on its cycle indeterminate or
+    # unbounded
+    g = build_graph(GRAPHS[name]())
+    for t in g.tiles:
+        touches = any(v in g.frontier_vertices for _, v in t.cycle)
+        assert t.touches_frontier == touches, (name, t.index)
+        if touches:
+            assert t.status != BOUNDED, (name, t.index)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_face_pass_matches_union_oracle(name, monkeypatch):
     g = build_graph(GRAPHS[name]())
     for kind, select in SELECTIONS.items():
