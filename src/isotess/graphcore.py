@@ -17,8 +17,8 @@ guarantee this.
 
 Closure and classification of a selection need the bounded faces of its
 interior graph H (``_bounded_faces``).  When H is connected, as it is for
-every star-like selection, they cost O(|H| + size of the bounded faces):
-H's faces are traced with the rotation restricted to H, and only the
+every star-like selection, they cost O(|H| log |H| + size of the bounded
+faces): H's faces are traced with the rotation restricted to H, and only the
 faces that are not single tiles are flooded, in lock-step, until the
 outer face is the one left.  The full flood over every tile, O(|G|), runs
 only when H is empty or disconnected, when no tile of the graph is
@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     Disconnected,
@@ -167,7 +167,7 @@ class ValidationReport:
 # face tracing
 # ---------------------------------------------------------------------------
 
-def trace_faces(rotation: Mapping[int, tuple[int, ...]],
+def trace_faces(rotation: Mapping[int, Sequence[int]],
                 edge_ends: Mapping[int, tuple[int, int]]) -> list[list[Dart]]:
     """Partition all darts into face cycles.
 
@@ -180,28 +180,44 @@ def trace_faces(rotation: Mapping[int, tuple[int, ...]],
         for i, e in enumerate(rot):
             succ_edge[(e, v)] = rot[(i + 1) % n]
 
-    def other(edge: int, v: int) -> int:
-        a, b = edge_ends[edge]
-        return b if v == a else a
-
     faces: list[list[Dart]] = []
     seen: set[Dart] = set()
     for e in sorted(edge_ends):
         for v in sorted(edge_ends[e]):
-            start = (e, v)
-            if start in seen:
+            d = (e, v)
+            if d in seen:
                 continue
+            # the successor map is a permutation: the orbit closes at its start
             cycle = []
-            d = start
-            while True:
-                cycle.append(d)
+            while d not in seen:
                 seen.add(d)
+                cycle.append(d)
                 e2 = succ_edge[d]
-                d = (e2, other(e2, d[1]))
-                if d == start:
-                    break
+                a, b = edge_ends[e2]
+                d = (e2, b if a == d[1] else a)
             faces.append(cycle)
     return faces
+
+
+def _reach(start: int, rotation: Mapping[int, Iterable[int]],
+           ends: Mapping[int, tuple[int, int]],
+           inside: frozenset[int] | None = None) -> set[int]:
+    """The vertices reachable from ``start`` along the edges listed in ``rotation``.
+
+    ``rotation`` maps a vertex to edge ids at it and ``ends`` an edge id to
+    its two ends; when ``inside`` is given, only its vertices are entered.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for e in rotation[v]:
+            a, b = ends[e]
+            w = b if a == v else a
+            if w not in seen and (inside is None or w in inside):
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +277,12 @@ def build_graph(record: Mapping) -> MetricGraph:
             length[eid] = ell
 
         frontier = frozenset(map(_int, record.get("frontier_vertices", ())))
-        declared = {int(k): _int(v) for k, v in record.get("true_degree", {}).items()}
+        declared: dict[int, int] = {}
+        names = {str(v): v for v in rotation}
+        for key, td in record.get("true_degree", {}).items():
+            if key not in names:
+                raise InputFormatError(f"true_degree key {key!r} names no vertex")
+            declared[names[key]] = _int(td)
         face_reps = [(_int(e), _int(h)) for e, h in record.get("unbounded_face_reps", ())]
     except (AttributeError, IndexError, KeyError, TypeError, ValueError,
             ZeroDivisionError) as exc:
@@ -283,19 +304,10 @@ def build_graph(record: Mapping) -> MetricGraph:
         if not rot:
             raise MalformedRotation(f"vertex {v} is isolated")
 
-    # connectivity
     verts = sorted(rotation)
-    seen = {verts[0]}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for e in rotation[v]:
-            w = edge_ends[e][0] if edge_ends[e][1] == v else edge_ends[e][1]
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != len(verts):
-        raise Disconnected(f"{len(verts) - len(seen)} vertices unreachable")
+    unreached = len(verts) - len(_reach(verts[0], rotation, edge_ends))
+    if unreached:
+        raise Disconnected(f"{unreached} vertices unreachable")
 
     if not frontier <= set(rotation):
         raise InputFormatError("frontier lists unknown vertex")
@@ -425,38 +437,25 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
     edges = frozenset(int(e) for e in edge_ids)
     if not edges:
         raise DisconnectedSelection("empty selection")
+    ends = g.edge_ends
     for e in edges:
-        if e not in g.edge_ends:
+        if e not in ends:
             raise KeyError(f"unknown edge {e}")
 
-    deg: dict[int, int] = {}
+    # the selected edges at each vertex; their number is its selection degree
+    adj: dict[int, list[int]] = {}
     for e in edges:
-        a, b = g.edge_ends[e]
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    vertices = frozenset(deg)
-
-    # connectivity of the selection
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for e in edges:
-        a, b = g.edge_ends[e]
-        adj[a].append(b)
-        adj[b].append(a)
-    start = next(iter(vertices))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != len(vertices):
+        a, b = ends[e]
+        adj.setdefault(a, []).append(e)
+        adj.setdefault(b, []).append(e)
+    vertices = frozenset(adj)
+    if len(_reach(next(iter(vertices)), adj, ends)) != len(vertices):
         raise DisconnectedSelection("selection does not induce a connected subgraph")
 
     boundary = set()
     boundary_degree = 0
-    for v, d in deg.items():
+    for v, es in adj.items():
+        d = len(es)
         td = g.true_degree[v]
         if td is None:
             raise FrontierContact(f"vertex {v} has unknown true degree")
@@ -467,8 +466,7 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
             boundary_degree += d
     interior_vertices = vertices - boundary
     interior_edges = frozenset(
-        e for e in edges
-        if g.edge_ends[e][0] in interior_vertices and g.edge_ends[e][1] in interior_vertices)
+        e for e in edges if ends[e][0] in interior_vertices and ends[e][1] in interior_vertices)
     measure = exact_sum([g.length[e] for e in edges])
     return SubgraphSelection(
         edges=edges, vertices=vertices, boundary=frozenset(boundary),
@@ -479,8 +477,9 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
 def _interior_faces(g: MetricGraph, inner: frozenset[int]):
     """Faces of the graph H induced on ``inner``; None when H is empty or disconnected.
 
-    The faces are traced with the ambient rotation restricted to H, in
-    O(sum of the degrees over ``inner``).  Returns ``(singles, others)``:
+    The faces are traced by :func:`trace_faces` with the ambient rotation
+    restricted to H, in O(|H| log |H|), |H| the sum of the degrees over
+    ``inner``: the tracer sorts H's edges.  Returns ``(singles, others)``:
     the tiles whose dart cycle is a whole face cycle of H, and for every
     other face the set of tiles beside its darts.  A single vertex has one
     face, seeded with the tiles around it.
@@ -488,42 +487,17 @@ def _interior_faces(g: MetricGraph, inner: frozenset[int]):
     if not inner:
         return None
     ends = g.edge_ends
-    rot: dict[int, list[int]] = {}
-    for v in inner:
-        rot[v] = [e for e in g.rotation[v] if ends[e][0] in inner and ends[e][1] in inner]
+    rot = {v: [e for e in g.rotation[v] if ends[e][0] in inner and ends[e][1] in inner]
+           for v in inner}
     v0 = next(iter(inner))
-    reached = {v0}
-    stack = [v0]
-    while stack:
-        v = stack.pop()
-        for e in rot[v]:
-            a, b = ends[e]
-            w = b if a == v else a
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != len(inner):
+    if len(_reach(v0, rot, ends)) != len(inner):
         return None
     if not rot[v0]:
         return [], [{g.dart_tile[(e, v0)] for e in g.rotation[v0]}]
 
-    succ: dict[Dart, int] = {}
-    for v, r in rot.items():
-        for i, e in enumerate(r):
-            succ[(e, v)] = r[i + 1 - len(r)]
     singles: list[int] = []
     others: list[set[int]] = []
-    traced: set[Dart] = set()
-    for d in succ:
-        if d in traced:
-            continue
-        cycle = []
-        while d not in traced:
-            traced.add(d)
-            cycle.append(d)
-            e = succ[d]
-            a, b = ends[e]
-            d = (e, b if a == d[1] else a)
+    for cycle in trace_faces(rot, {e: ends[e] for r in rot.values() for e in r}):
         t = g.dart_tile[cycle[0]]
         face = {g.dart_tile[d] for d in cycle}
         if face == {t} and len(g.tiles[t].cycle) == len(cycle):
@@ -582,16 +556,17 @@ def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
     with only bounded tiles, and whether more than one face touches
     indeterminate data (so the outer face cannot be identified).
 
-    Cost: O(|H| + size of the bounded faces) when H is connected, which it
-    is for every star-like selection.  A face of H whose dart cycle is one
-    tile's cycle is that tile, with no flooding.  If all faces but one are
-    such bounded tiles and the graph has a tile that is not bounded, the
-    remaining face is the outer one; otherwise the tiles of the remaining
-    faces are flooded in lock-step until one face is left, which is the
-    outer one.  The full flood over every tile of the graph, O(|G|), runs
-    when these rules cannot settle the answer: H is empty or disconnected,
-    every tile of the graph is bounded, a face that is a single tile is
-    not bounded, or a finished flood reaches a tile that is not bounded.
+    Cost: O(|H| log |H| + size of the bounded faces) when H is connected,
+    which it is for every star-like selection.  A face of H whose dart cycle
+    is one tile's cycle is that tile, with no flooding.  If all faces but
+    one are such bounded tiles and the graph has a tile that is not bounded,
+    the remaining face is the outer one; otherwise the tiles of the
+    remaining faces are flooded in lock-step until one face is left, which
+    is the outer one.  The full flood over every tile of the graph, O(|G|),
+    runs when these rules cannot settle the answer: H is empty or
+    disconnected, every tile of the graph is bounded, a face that is a
+    single tile is not bounded, or a finished flood reaches a tile that is
+    not bounded.
     """
     inner = interior_vertices
     ends, tiles, dart_tile = g.edge_ends, g.tiles, g.dart_tile
@@ -645,17 +620,7 @@ def classify_subgraph(g: MetricGraph, sel: SubgraphSelection) -> tuple[bool, boo
     full = sel.interior_vertices
     star_like = False
     if full and set().union(*(g.rotation[v] for v in full)) == sel.edges:
-        v0 = next(iter(full))
-        seen = {v0}
-        queue = deque([v0])
-        while queue:
-            v = queue.popleft()
-            for e in g.rotation[v]:
-                w = g.other_end(e, v)
-                if w in full and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        star_like = len(seen) == len(full)
+        star_like = len(_reach(next(iter(full)), g.rotation, g.edge_ends, full)) == len(full)
 
     groups, ambiguous = _bounded_faces(g, full)
     if ambiguous:

@@ -17,7 +17,9 @@ A single JSON record describes a metric graph:
 
 The file is UTF-8 text.  Vertex and edge ids, edge ends, rotation
 entries, frontier vertices, true degrees and face reps are JSON integers
-(not floats or booleans); ``true_degree`` keys are decimal strings.
+(not floats or booleans); ``true_degree`` keys are decimal strings, each
+spelled exactly ``str(v)`` for a vertex ``v`` of the record ("00", " 0"
+and ids of no vertex are rejected as InputFormatError).
 Rotation lists are cyclic clockwise sequences; lengths are rational
 strings ("p/q" or decimal).  ``unbounded_face_reps`` names one directed
 edge ``[edge, head]`` lying on each unbounded face.  Everything else is

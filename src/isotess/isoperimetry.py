@@ -349,12 +349,9 @@ class CombUpperResult:
     enumerated: int
 
 
-def alpha_comb_upper_bruteforce(g: MetricGraph, budget: Budget,
-                                eligible_vertices: Iterable[int] | None = None
-                                ) -> CombUpperResult:
+def alpha_comb_upper_bruteforce(g: MetricGraph, budget: Budget) -> CombUpperResult:
     """min (#boundary edges of U) / (sum of degrees in U) over vertex sets."""
-    vertex_ids = sorted(eligible_vertices if eligible_vertices is not None
-                        else g.frontier_free_vertices())
+    vertex_ids = g.frontier_free_vertices()
     cut, sumdeg, witness, count = _lex_min(
         lambda visit: _scan_connected_vertex_sets(
             g, vertex_ids, budget.max_generators, visit, budget.max_yield),

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -145,3 +148,21 @@ def wheel5():
 @pytest.fixture
 def trihex():
     return build_graph(triangulated_hexagon_record())
+
+
+@pytest.fixture(scope="session")
+def random_tessellation():
+    """``random_tessellation`` of bench/inputs.py, loaded by path.
+
+    That module imports its bench/ siblings, so bench/ is on the path while
+    it loads.
+    """
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_inputs", bench / "inputs.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module.random_tessellation

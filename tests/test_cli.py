@@ -270,11 +270,16 @@ def test_gen_invalid_params_exit(tmp_path, capsys):
     lambda r: r["edges"][1].update(length=1.0),
     lambda r: (r["edges"][0].update(length=1), r["edges"][1].update(length=True)),
     lambda r: (r["edges"][0].update(length=1), r["edges"][1].update(length=1.0)),
+    # a true_degree key must be str(v) for a vertex v of the record
+    lambda r: r.update(true_degree={"999": 3}),
+    lambda r: r.update(true_degree={"0_0": 3}),
+    lambda r: r.update(true_degree={"0": 3, "00": 3}),
 ], ids=["no-rotation", "id-not-int", "no-vertices", "true-degree-not-int",
         "short-face-rep", "three-ends", "no-length", "vertex-id-float",
         "edge-id-float", "rotation-floats", "edge-end-bool", "true-degree-float",
         "length-bool-after-str", "length-float-after-str", "length-bool-after-int",
-        "length-float-after-int"])
+        "length-float-after-int", "true-degree-unknown-vertex",
+        "true-degree-key-underscore", "true-degree-key-leading-zero"])
 def test_malformed_record_exit_code(tmp_path, capsys, mutate):
     record = k4_record()
     mutate(record)

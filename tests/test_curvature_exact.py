@@ -13,11 +13,8 @@ failure names its seed; ``random.Random`` with that string replays it.
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -39,22 +36,6 @@ from isotess.graphcore import BOUNDED, INDETERMINATE, UNBOUNDED, build_graph
 from isotess.rational import INF
 
 from conftest import finite_corpus
-
-ROOT = Path(__file__).resolve().parent.parent
-BENCH = ROOT / "bench"
-
-
-def _bench_inputs():
-    """bench/inputs.py, loaded by path; it imports its bench/ siblings."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-    return module
-
 
 # lengths as an input file may spell them: "p/q", integers and decimals
 LENGTH_POOL = ["1", "2", "3/2", "0.25", "7/3", "5/8", "1.5", "9/7", "4/9", "0.2", " 6/4 "]
@@ -211,11 +192,6 @@ def _check_graph(record: dict, seed: str) -> None:
 
 
 RANDOM_SEEDS = [f"random:{i}" for i in range(30)]
-
-
-@pytest.fixture(scope="module")
-def random_tessellation():
-    return _bench_inputs().random_tessellation
 
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
