@@ -11,8 +11,9 @@ accepted by alpha and compare but changes nothing, so identical inputs and
 budgets produce byte-identical reports.
 
 Exit codes: 0 success, 2 validation violations / failed preconditions /
-usage errors, 3 enumeration budget exhausted, 4 malformed input (including
-non-integer ids, malformed family blocks and non-UTF-8 files) or I/O error.
+usage errors, 3 enumeration budget exhausted (a hit ``--max-yield`` and
+nothing else), 4 malformed input (including non-integer ids, malformed
+family blocks and non-UTF-8 files) or I/O error.
 """
 
 from __future__ import annotations

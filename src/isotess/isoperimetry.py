@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .curvature import CurvatureReport, global_constants
 from .errors import (
     BudgetExceeded,
+    EmptyFrontierFreeRegion,
     FrontierContact,
     NonPositiveEllMin,
     OutOfRange,
@@ -32,7 +33,7 @@ from .graphcore import (
     complete_closure,
     subgraph_stats,
 )
-from .rational import INF, exact_sum
+from .rational import INF, scaled_sum
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,8 @@ def _lex_min(scan: Callable[[Callable], int], ids: Sequence[int], what: str,
     per set (den > 0), with no Fraction; ``skip_zero`` drops num = 0.  ESU
     grows each set from its smallest index, ``stack[0]``, and visits roots
     in increasing order: a tie whose ``stack[0]`` exceeds the best's first
-    index cannot give a smaller witness and is skipped unsorted.
+    index cannot give a smaller witness and is skipped unsorted.  A scan
+    with no set to choose from raises EmptyFrontierFreeRegion.
     """
     best_num, best_den, best = 1, 0, None  # 1/0 is above every ratio
 
@@ -307,7 +309,7 @@ def _lex_min(scan: Callable[[Callable], int], ids: Sequence[int], what: str,
 
     count = scan(visit)
     if best is None:
-        raise BudgetExceeded(f"no {what} enumerated", 0)
+        raise EmptyFrontierFreeRegion(f"no {what} in the frontier-free region")
     return best_num, best_den, tuple(ids[i] for i in best), count
 
 
@@ -328,13 +330,15 @@ def alpha_upper_bruteforce(g: MetricGraph, budget: Budget,
     sequence among the minimizers.  ``proper_only`` skips subgraphs with
     empty boundary (the whole graph).  ``workers`` selects nothing: the
     scan runs in one process and the result does not depend on it.
+    EmptyFrontierFreeRegion: no subgraph is left to minimise over.
     """
     edge_ids = sorted(eligible_edges if eligible_edges is not None
                       else g.frontier_free_edges())
     bd, mes, witness, count = _lex_min(
         lambda visit: scan_connected_edge_subsets(
             g, budget.max_edges, visit, edge_ids, budget.max_yield),
-        edge_ids, "subgraph", skip_zero=proper_only)
+        edge_ids, "proper subgraph" if proper_only else "subgraph",
+        skip_zero=proper_only)
     bound = Bound(value=Fraction(bd * length_scale(g, edge_ids), mes),
                   provenance="bruteforce_upper", side="upper", certified=True,
                   witness=witness, note=f"min over {count} connected subgraphs "
@@ -350,7 +354,10 @@ class CombUpperResult:
 
 
 def alpha_comb_upper_bruteforce(g: MetricGraph, budget: Budget) -> CombUpperResult:
-    """min (#boundary edges of U) / (sum of degrees in U) over vertex sets."""
+    """min (#boundary edges of U) / (sum of degrees in U) over vertex sets.
+
+    EmptyFrontierFreeRegion: no vertex is frontier-free.
+    """
     vertex_ids = g.frontier_free_vertices()
     cut, sumdeg, witness, count = _lex_min(
         lambda visit: _scan_connected_vertex_sets(
@@ -396,17 +403,31 @@ def lower_bounds(g: MetricGraph, report: CurvatureReport | None = None,
                 g, budget.max_generators, max_yield=budget.max_yield)
         except (FrontierContact, BudgetExceeded):
             selections = []
-        averages = []
+        # w(e) = c(e)|e| as integer parts, once per edge; each average
+        # sum w(e) / mes(S) is compared with the smallest so far by
+        # cross-multiplication and only the smallest becomes a Fraction
+        weight: dict[int, tuple[int, int]] = {}
+        for e in set().union(*[sel.edges for sel in selections]):
+            c = report.char_value[e]
+            if c is not None:
+                w = c * g.length[e]
+                weight[e] = (w.numerator, w.denominator)
+        best_num, best_den = 1, 0  # 1/0 is above every average
+        averaged = 0
         for sel in selections:
-            terms = [(report.char_value[e], g.length[e]) for e in sel.edges]
-            if all(c is not None for c, _ in terms):
-                averages.append(exact_sum([c * ell for c, ell in terms]) / sel.measure)
-        if averages:
-            value = min(Fraction(2) / report.ell_star, min(averages))
+            if weight.keys() >= sel.edges:
+                num, scale = scaled_sum([weight[e] for e in sel.edges])
+                mes = sel.measure
+                num, den = num * mes.denominator, scale * mes.numerator
+                if num * best_den < best_num * den:
+                    best_num, best_den = num, den
+                averaged += 1
+        if averaged:
+            value = min(Fraction(2) / report.ell_star, Fraction(best_num, best_den))
             out.append(Bound(value=value, provenance="est01_empirical",
                              side="lower", certified=False,
                              note=f"min(2/ell*, averaged curvature over "
-                                  f"{len(averages)} star-like complete subgraphs)"))
+                                  f"{averaged} star-like complete subgraphs)"))
 
     if total_measure is not None:
         out.append(Bound(value=Fraction(2) / total_measure,
@@ -478,7 +499,7 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
         brute = alpha_upper_bruteforce(g, budget, workers=workers,
                                        proper_only=finite)
         bounds.append(brute.bound)
-    except FrontierContact as exc:
+    except (FrontierContact, EmptyFrontierFreeRegion) as exc:
         brute = None
         bounds.append(Bound(value=INF, provenance="bruteforce_upper", side="upper",
                             certified=False, note=f"not available: {exc}"))

@@ -3,17 +3,22 @@
 Every graph quantity that is stored or reported (lengths, weights,
 perimeters, characteristic values, curvatures) is a `fractions.Fraction`.
 Hot loops work on the integer numerators and denominators instead and
-build one Fraction per result: :func:`exact_sum` adds its terms over the
-lcm of their denominators.  Unbounded tile perimeters are represented by
-``INF`` (the float infinity), and every reciprocal taken through
-:func:`reciprocal` obeys the convention 1/inf == 0 exactly.
+build one Fraction per result: :func:`scaled_sum` adds (numerator,
+denominator) pairs as ints over the lcm of their own denominators, and
+:func:`exact_sum` does the same for Fractions and normalises once.
+Edge lengths come as such pairs from a per-graph integer table,
+``MetricGraph.length_parts``, built on first use; every sum still takes
+the lcm of its own terms, and no scale is stored for the whole graph.
+Unbounded tile perimeters are represented by ``INF`` (the float
+infinity), and every reciprocal taken through :func:`reciprocal` obeys
+the convention 1/inf == 0 exactly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 INF = float("inf")
 
@@ -32,15 +37,20 @@ def reciprocal(x: Extended) -> Fraction:
     return Fraction(1) / x
 
 
-def exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """The sum of ``values`` as one Fraction, normalised once.
+def scaled_sum(parts: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """(num, scale) with num/scale the sum of the fractions n/d in ``parts``.
 
-    The numerators are scaled to the lcm of the denominators and added as
-    ints; the empty sum is 0.
+    ``scale`` is the lcm of the denominators d; the numerators are scaled
+    to it and added as ints, and nothing is normalised.  The empty sum is
+    (0, 1).
     """
-    values = list(values)
-    scale = math.lcm(*[x.denominator for x in values])
-    return Fraction(sum([x.numerator * (scale // x.denominator) for x in values]), scale)
+    scale = math.lcm(*{d for _, d in parts})
+    return sum([n * (scale // d) for n, d in parts]), scale
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The sum of ``values`` as one Fraction: :func:`scaled_sum`, normalised once."""
+    return Fraction(*scaled_sum([(x.numerator, x.denominator) for x in values]))
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:

@@ -106,6 +106,60 @@ def test_budget_exhausted_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+# one edge with two ends of degree 1: its only connected subgraph is the
+# whole graph, which has an empty boundary
+ONE_EDGE = {
+    "vertices": [{"id": 0, "rotation": [0]}, {"id": 1, "rotation": [0]}],
+    "edges": [{"id": 0, "ends": [0, 1], "length": "1"}],
+    "unbounded_face_reps": [[0, 1]],
+}
+
+
+def _pq73r1(tmp_path, center_frontier=False):
+    # every edge of the radius-1 ball touches the frontier rim
+    path = tmp_path / "pq73r1.json"
+    assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", "1",
+                "--output", str(path)]) == 0
+    if center_frontier:
+        record = read(path)
+        record["frontier_vertices"] = sorted(set(record["frontier_vertices"]) | {0})
+        save(record, path)
+    return path
+
+
+@pytest.mark.parametrize("case,command,code", [
+    ("pq73r1", "alpha", 0),
+    ("pq73r1", "compare", 0),
+    ("one_edge", "alpha", 0),
+    ("one_edge", "compare", 0),
+    ("pq73r1_center_frontier", "comb-alpha", 2),
+    ("pq73r1_center_frontier", "bounds", 2),
+    ("pq73r1_center_frontier", "alpha", 2),
+    ("pq73r1_center_frontier", "compare", 2),
+])
+def test_nothing_to_enumerate_is_not_a_budget_exit(tmp_path, capsys, case, command, code):
+    # exit 3 means a hit --max-yield; a scan with nothing to choose from
+    # reports the brute-force bound as not available, or fails the
+    # frontier-free precondition when no vertex is frontier-free
+    if case == "one_edge":
+        path = tmp_path / "one_edge.json"
+        save(ONE_EDGE, path)
+    else:
+        path = _pq73r1(tmp_path, center_frontier=case.endswith("center_frontier"))
+    out = tmp_path / "report.json"
+    assert run([command, str(path), "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "EmptyFrontierFreeRegion" in err
+        return
+    report = read(out)["result"]
+    bracket = report["alpha"] if command == "compare" else report
+    brute = [b for b in bracket["bounds"] if b["provenance"] == "bruteforce_upper"]
+    assert len(brute) == 1
+    assert brute[0]["value"] == "inf" and brute[0]["certified"] is False
+    assert brute[0]["note"].startswith("not available: no ")
+
+
 def test_alpha_bytes_identical_across_workers(tmp_path, capsys):
     graph = tmp_path / "sq.json"
     run(["gen", "pq", "--p", "4", "--q", "4", "--radius", "3",
