@@ -13,9 +13,11 @@ the two distinct unbounded tiles of the infinite graph.
 Quantities touching a frontier vertex or an indeterminate tile are None
 (indeterminate), never silently wrong.
 
-Every value is exact and normalised once.  Weights and the Gauss-Bonnet
-total are sums over the lcm of their terms' denominators
-(:func:`~isotess.rational.exact_sum`); c(e) and the vertex curvature
+Every value is exact and normalised once.  Weights are sums over the lcm
+of their terms' denominators (:func:`~isotess.rational.exact_sum`).  The
+Gauss-Bonnet total and the degsum left-hand side add each c(e)|e| as the
+unnormalised int pair (numerator product, denominator product) with
+:func:`~isotess.rational.scaled_sum`.  c(e) and the vertex curvature
 kappa(v) are built from the integer numerators and denominators of their
 terms (1/(n/d) = d/n) as one Fraction each; the maxima M and P are
 compared by cross-multiplication, and only the winner becomes a Fraction.
@@ -42,7 +44,7 @@ from .graphcore import (
     classify_subgraph,
     validate_tessellation,
 )
-from .rational import INF, Extended, exact_sum, reciprocal
+from .rational import INF, Extended, exact_sum, reciprocal, scaled_sum
 
 
 @dataclass
@@ -249,8 +251,11 @@ def gauss_bonnet_check(g: MetricGraph) -> GaussBonnetResult:
         raise NotFiniteTessellation(
             "; ".join(f"({v.condition}) {v.witness}: {v.detail}"
                       for v in report.violations))
-    cvals = char_values(g)
-    total = -exact_sum([cvals[e] * g.length[e] for e in g.edges])
+    cvals, length = char_values(g), g.length
+    num, scale = scaled_sum([(cvals[e].numerator * length[e].numerator,
+                              cvals[e].denominator * length[e].denominator)
+                             for e in g.edges])
+    total = Fraction(-num, scale)
     return GaussBonnetResult(total=total, holds=total == 1)
 
 
@@ -283,12 +288,14 @@ def degsum_check(g: MetricGraph, sel: SubgraphSelection,
         report = global_constants(g)
 
     terms = []
+    parts = g.length_parts
     for e in sel.edges:
         c = report.char_value[e]
         if c is None:
             raise FrontierContact(f"edge {e} has indeterminate characteristic value")
-        terms.append(c * g.length[e])
-    lhs = exact_sum(terms)
+        n, d = parts[e]
+        terms.append((c.numerator * n, c.denominator * d))
+    lhs = Fraction(*scaled_sum(terms))
     rhs = Fraction(sel.boundary_degree)
 
     cut_sides = 0

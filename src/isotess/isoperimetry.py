@@ -6,10 +6,13 @@ subgraphs by finite vertex sets.  Both are approached from above by
 canonical enumeration and from below by the curvature estimates.  One ESU
 routine serves both: it visits every connected vertex set once in a fixed
 order, and connected edge subsets are the connected vertex sets of the
-line graph.  The scans run in one process and in integers (lengths scaled
-by L, the lcm of their denominators; ratios cross-multiplied); each result
-builds one Fraction, for the smallest ratio with the lexicographically
-smallest witness, so results do not depend on the visiting order.
+line graph.  Sets at the size limit are visited in one batch per parent
+set: the scan reads the parent's running statistics and adds each
+candidate's share, so most sets cost one visitor call and no recursion.
+The scans run in one process and in integers (lengths scaled by L, the
+lcm of their denominators; ratios cross-multiplied); each result builds
+one Fraction, for the smallest ratio with the lexicographically smallest
+witness, so results do not depend on the visiting order.
 """
 
 from __future__ import annotations
@@ -74,45 +77,69 @@ class Bound:
 
 def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
          push: Callable[[int], None], pop: Callable[[int], None],
-         emit: Callable[[list[int], int], None], max_yield: int) -> int:
+         emit: Callable[[list[int], Sequence[int], int], None],
+         max_yield: int) -> int:
     """Visit every connected node set of size <= max_size exactly once.
 
     Nodes are 0..n-1 with sorted adjacency lists ``nbrs``.  Each set is
     grown from its smallest node by canonical augmentation (Wernicke's
-    ESU), so the visiting order is fixed by the input alone.  ``push`` and
-    ``pop`` keep the caller's running statistics as a node enters and
-    leaves the current set; ``emit(stack, index)`` runs once per set, with
-    ``stack`` the current node list (do not mutate / keep).  Returns the
-    number of sets visited.
+    ESU), so the visiting order is fixed by the input alone.
+
+    ``emit(stack, cands, index)`` visits the sets ``stack + [j]`` for the
+    nodes j of ``cands`` in order, as sets ``index``, ``index + 1``, ...;
+    ``stack`` is the current node list (do not keep it; an emit may append
+    to it if it pops again).  ``push`` and ``pop`` keep the caller's
+    running statistics as a node enters and leaves ``stack``, so an emit
+    reads the statistics of ``stack`` and adds j's share.
+
+    Cost: only sets that can still grow are pushed.  Each set of fewer
+    than max_size nodes gets its own emit call, one push and one pop, in
+    depth-first order; a set of max_size - 1 nodes then hands all of its
+    extensions to one emit.  The sets at the size limit, most of the
+    sets, cost no push, pop, touched mark, slice or recursion.  A batch
+    that would pass ``max_yield`` sets raises BudgetExceeded(message,
+    max_yield + 1) before it is emitted.  Returns the number of sets
+    visited.
     """
     touched = bytearray(len(nbrs))
     stack: list[int] = []
     count = 0
 
-    def extend(i: int, ext: list[int]) -> None:
-        # add node i, visit the set, then grow it by every later node of
-        # ``ext`` and by the neighbours of i no smaller set has reached
+    def batch(cands: Sequence[int]) -> None:
         nonlocal count
+        if count + len(cands) > max_yield:
+            raise BudgetExceeded(f"enumeration exceeded max_yield={max_yield}",
+                                 max_yield + 1)
+        emit(stack, cands, count)
+        count += len(cands)
+
+    def extend(i: int, ext: list[int]) -> None:
+        # stack + [i] has been visited and can grow: push i, then grow the
+        # set by every later node of ``ext`` and by the neighbours of i no
+        # smaller set has reached
         push(i)
         stack.append(i)
-        count += 1
-        if count > max_yield:
-            raise BudgetExceeded(f"enumeration exceeded max_yield={max_yield}", count)
-        emit(stack, count - 1)
-        if len(stack) < max_size:
-            fresh = [j for j in nbrs[i] if not touched[j]]
+        fresh = [j for j in nbrs[i] if not touched[j]]
+        if len(stack) + 1 == max_size:
+            batch(ext + fresh)
+        else:
             for j in fresh:
                 touched[j] = 1
             ext = ext + fresh
             for k, j in enumerate(ext):
+                batch((j,))
                 extend(j, ext[k + 1:])
             for j in fresh:
                 touched[j] = 0
         pop(i)
         stack.pop()
 
+    if max_size <= 1:
+        batch(range(len(nbrs)))
+        return count
     for r in range(len(nbrs)):
         touched[r] = 1  # r stays touched: later roots never revisit it
+        batch((r,))
         extend(r, [])
     return count
 
@@ -176,8 +203,17 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
             deg[w] = d - 1
         mes -= lengths[i]
 
-    def emit(stack: list[int], idx: int) -> None:
-        visit(stack, bd, mes, idx)
+    # the set stack + [j] has the statistics of push(j), read without
+    # storing; the two ends differ, since build_graph rejects loops
+    def emit(stack: list[int], cands: Sequence[int], idx: int) -> None:
+        stack.append(-1)
+        for idx, j in enumerate(cands, idx):
+            a, b = ends[j]
+            da, db = deg[a] + 1, deg[b] + 1
+            stack[-1] = j
+            visit(stack, bd + (1 if da < truedeg[a] else 1 - da)
+                  + (1 if db < truedeg[b] else 1 - db), mes + lengths[j], idx)
+        stack.pop()
 
     return _esu(nbrs, max_edges, push, pop, emit, max_yield)
 
@@ -231,8 +267,14 @@ def _scan_connected_vertex_sets(g: MetricGraph, vertex_ids: Sequence[int],
         sumdeg -= truedeg[i]
         internal -= sum(in_set[j] for j in nbrs[i])
 
-    def emit(stack: list[int], idx: int) -> None:
-        visit(stack, sumdeg - 2 * internal, sumdeg, idx)
+    def emit(stack: list[int], cands: Sequence[int], idx: int) -> None:
+        stack.append(-1)
+        for idx, j in enumerate(cands, idx):
+            total = sumdeg + truedeg[j]
+            stack[-1] = j
+            visit(stack, total - 2 * (internal + sum([in_set[k] for k in nbrs[j]])),
+                  total, idx)
+        stack.pop()
 
     return _esu(nbrs, max_size, push, pop, emit, max_yield)
 

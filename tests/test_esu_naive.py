@@ -6,8 +6,10 @@ edge subsets and connected vertex sets of each size are listed naively:
 every combination, kept when it is connected.  The scans must visit
 exactly those sets, once each, and the brute-force minima must be the
 naive minimum ratio with the lexicographically smallest sorted witness
-among its minimisers.  A failure names its seed; ``random.Random`` with
-that string replays it.
+among its minimisers.  The scans visit the last level in batches; the
+one-set-per-call recursive ESU they ran before is kept here as an oracle
+for the visiting order, the indices and the statistics of every set.  A
+failure names its seed; ``random.Random`` with that string replays it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from itertools import combinations
 
 import pytest
 
+from isotess.errors import BudgetExceeded
 from isotess.graphcore import build_graph
 from isotess.isoperimetry import (
     Budget,
@@ -25,6 +28,8 @@ from isotess.isoperimetry import (
     alpha_comb_upper_bruteforce,
     alpha_upper_bruteforce,
     enumerate_connected_subgraphs,
+    length_scale,
+    scan_connected_edge_subsets,
 )
 
 SEEDS = [f"esu:{i}" for i in range(30)]
@@ -128,3 +133,101 @@ def test_minima_match_combinations(random_tessellation, seed):
     assert comb.enumerated == len(naive_sets), seed
     assert (comb.value, comb.witness_vertices) \
         == min((_vertex_ratio(g, c), c) for c in naive_sets), seed
+
+
+def _recursive_esu(nbrs, max_size):
+    """(stack, index) of every set, one recursive call per set.
+
+    The ESU recursion the scans ran before their last level was batched:
+    each set is visited when its node is added, then grown by every later
+    node of ``ext`` and by the neighbours no smaller set has reached.
+    """
+    touched = bytearray(len(nbrs))
+    stack, out = [], []
+
+    def extend(i, ext):
+        stack.append(i)
+        out.append((tuple(stack), len(out)))
+        if len(stack) < max_size:
+            fresh = [j for j in nbrs[i] if not touched[j]]
+            for j in fresh:
+                touched[j] = 1
+            ext = ext + fresh
+            for k, j in enumerate(ext):
+                extend(j, ext[k + 1:])
+            for j in fresh:
+                touched[j] = 0
+        stack.pop()
+
+    for r in range(len(nbrs)):
+        touched[r] = 1
+        extend(r, [])
+    return out
+
+
+def _recorded(scan):
+    """Every (stack, num, den, index) that ``scan(visit)`` visits, and its count."""
+    out = []
+    count = scan(lambda stack, num, den, idx: out.append((tuple(stack), num, den, idx)))
+    return out, count
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scans_match_recursive_esu(random_tessellation, seed):
+    g, _ = _graph(random_tessellation, seed)
+    edge_ids = sorted(g.frontier_free_edges())
+    scale = length_scale(g, edge_ids)
+    line = [sorted(j for j, f in enumerate(edge_ids)
+                   if f != e and set(g.edge_ends[f]) & set(g.edge_ends[e]))
+            for e in edge_ids]
+    vertex_ids = list(g.vertices)
+    adjacent = {frozenset(ends) for ends in g.edge_ends.values()}
+    adj = [[j for j, w in enumerate(vertex_ids) if frozenset((v, w)) in adjacent]
+           for v in vertex_ids]
+
+    def edge_stats(stack):
+        degree: dict[int, int] = {}
+        for i in stack:
+            for v in g.edge_ends[edge_ids[i]]:
+                degree[v] = degree.get(v, 0) + 1
+        boundary = sum(d for v, d in degree.items() if d < g.true_degree[v])
+        return boundary, int(sum(g.length[edge_ids[i]] for i in stack) * scale)
+
+    def vertex_stats(stack):
+        inside = {vertex_ids[i] for i in stack}
+        sumdeg = sum(g.true_degree[v] for v in inside)
+        internal = sum(set(ends) <= inside for ends in g.edge_ends.values())
+        return sumdeg - 2 * internal, sumdeg
+
+    for max_size in range(1, 5):
+        want = [(stack, *edge_stats(stack), idx) for stack, idx in _recursive_esu(line, max_size)]
+        got, count = _recorded(lambda visit: scan_connected_edge_subsets(
+            g, max_size, visit, edge_ids))
+        assert got == want and count == len(want), (seed, "edges", max_size)
+
+        want = [(stack, *vertex_stats(stack), idx) for stack, idx in _recursive_esu(adj, max_size)]
+        got, count = _recorded(lambda visit: _scan_connected_vertex_sets(
+            g, vertex_ids, max_size, visit, 10**6))
+        assert got == want and count == len(want), (seed, "vertices", max_size)
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 3, 4])
+def test_max_yield_boundary(random_tessellation, max_size):
+    def ignore(stack, num, den, idx):
+        pass
+
+    for seed in SEEDS[:6]:
+        g, _ = _graph(random_tessellation, seed)
+        scans = {
+            "edges": lambda cap: scan_connected_edge_subsets(
+                g, max_size, ignore, max_yield=cap),
+            "vertices": lambda cap: _scan_connected_vertex_sets(
+                g, list(g.vertices), max_size, ignore, cap),
+        }
+        for name, scan in scans.items():
+            total = scan(10**6)
+            assert scan(total) == total, (seed, name, max_size)
+            for cap in (1, total - 1):
+                with pytest.raises(BudgetExceeded) as info:
+                    scan(cap)
+                assert info.value.yielded == cap + 1, (seed, name, max_size, cap)
