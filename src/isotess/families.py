@@ -581,8 +581,9 @@ def _gk_tree_edges(graph: MetricGraph, k: int, root: int, l: int) -> list[int]:
 def _family_params(family) -> PQParams | GkParams | NETreeParams | None:
     """Generator parameters of a family block; None if absent or of unknown kind.
 
-    A non-object block, or a missing or non-integer field (``q`` may be
-    "inf"), is InputFormatError; a value the generator rejects raises its error.
+    A non-object block, a missing or non-integer field (``q`` may be
+    "inf"), or a finite q whose product with p overflows a float, is
+    InputFormatError; a value the generator rejects raises its error.
     """
     if family is None:
         return None
@@ -592,6 +593,12 @@ def _family_params(family) -> PQParams | GkParams | NETreeParams | None:
     if kind == "pq":
         p = _int_field(family, "p")
         q = math.inf if family.get("q") == "inf" else _int_field(family, "q")
+        if q != math.inf:
+            try:
+                float(p * q)  # the closed forms of a finite q are floats of p, q and pq
+            except OverflowError:
+                raise InputFormatError("family pq: p * q too large for the "
+                                       "floating-point closed forms") from None
         return PQParams(p=p, q=q)
     if kind == "gk":
         return GkParams(k=_int_field(family, "k"))

@@ -24,11 +24,15 @@ Rotation lists are cyclic clockwise sequences; lengths are rational
 strings ("p/q" or decimal).  ``unbounded_face_reps`` names one directed
 edge ``[edge, head]`` lying on each unbounded face.  Everything else is
 order-insensitive.
+
+Files are written in the canonical form defined by :func:`canonical_json`,
+which reports share.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping
 
@@ -38,9 +42,125 @@ FORMAT = "metric-graph"
 SCHEMA_VERSION = 1
 
 
+def _float(x: float) -> str:
+    """A float as the json module writes it."""
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the exact scalar types, each with the function giving its JSON text
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def canonical_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    This is the canonical form of reports and interchange files: object
+    keys sorted, each member and element on its own line indented two
+    spaces per level, "," ending a line and ": " after a key, empty
+    containers as ``{}`` and ``[]``, strings ASCII-only with ``\\uXXXX``
+    escapes, floats as ``repr`` with infinities as ``Infinity`` and
+    ``-Infinity``.
+
+    ``json.dumps`` runs its pure-Python encoder whenever an indent is set.
+    This writer recurses in Python only over containers that hold
+    containers.  A container of scalars goes to the json module's C
+    encoder in one call, with the newline and indent in its item
+    separator, and gets its first and last line breaks around that.
+    """
+    out: list[str] = []
+    _write(value, 0, out, {})
+    return "".join(out)
+
+
+def _write(x, depth: int, out: list[str], flat: dict) -> None:
+    """Append the canonical form of ``x`` at nesting ``depth`` to ``out``.
+
+    ``flat`` holds the C encoder of each depth, made on first use.
+    """
+    is_dict = isinstance(x, dict)
+    if is_dict:
+        values = x.values()
+    elif isinstance(x, (list, tuple)):
+        values = x
+    else:
+        out.append(_scalar(x))
+        return
+    if not values:
+        out.append("{}" if is_dict else "[]")
+        return
+    pad = "\n" + "  " * (depth + 1)
+    if set(map(type, values)) <= _SCALAR_TEXT.keys():
+        encode = flat.get(depth)
+        if encode is None:
+            encode = flat[depth] = c_make_encoder(
+                None, _not_serializable, encode_basestring_ascii, None,
+                ": ", "," + pad, True, False, True)
+        text = "".join(encode(x, 0))
+        out.append(text[0] + pad + text[1:-1] + pad[:-2] + text[-1])
+        return
+    sep = ("{" if is_dict else "[") + pad
+    for key in sorted(x) if is_dict else range(len(x)):
+        item = x[key]
+        if is_dict:
+            head = sep + encode_basestring_ascii(key if type(key) is str else _key(key)) + ": "
+        else:
+            head = sep
+        text = _SCALAR_TEXT.get(type(item))
+        if text is None:
+            out.append(head)
+            _write(item, depth + 1, out, flat)
+        else:
+            out.append(head + text(item))
+        sep = "," + pad
+    out.append(pad[:-2] + ("}" if is_dict else "]"))
+
+
+def _not_serializable(x):
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _scalar(x) -> str:
+    """One JSON scalar of any type the json module accepts, subclasses included."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return _SCALAR_TEXT[type(x)](x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float(x)
+    return _not_serializable(x)
+
+
+def _key(key) -> str:
+    """An object key converted to a string as the json module converts it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float(key)
+    if key is None or key is True or key is False:
+        return _SCALAR_TEXT[type(key)](key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
 def dumps_record(record: Mapping) -> str:
-    """Canonical serialization: sorted keys, two-space indent."""
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    """The record in the canonical form of :func:`canonical_json`, newline-terminated."""
+    return canonical_json(record) + "\n"
 
 
 def save(record: Mapping, path: str | Path) -> None:

@@ -1,12 +1,15 @@
-"""Report records: canonical JSON with exact rationals as "p/q" strings."""
+"""Report records: canonical JSON with exact rationals as "p/q" strings.
+
+The canonical form is defined once, by :func:`isotess.interchange.canonical_json`.
+"""
 
 from __future__ import annotations
 
 import hashlib
-import json
 from fractions import Fraction
 from pathlib import Path
 
+from .interchange import canonical_json
 from .isoperimetry import AlphaBracket, Bound
 from .rational import format_extended
 
@@ -85,7 +88,8 @@ def make_report(command: str, result: dict, *, input_bytes: bytes | None = None,
 
 
 def dumps_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report in the canonical form of :func:`~isotess.interchange.canonical_json`."""
+    return canonical_json(report) + "\n"
 
 
 def emit(report: dict, output: str | None) -> str:

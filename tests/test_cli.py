@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from isotess.cli import main
-from isotess.interchange import save
+from isotess.interchange import canonical_json, save
 
 from conftest import finite_corpus, k4_record, wheel_record
 
@@ -357,6 +357,9 @@ def test_malformed_record_exit_code(tmp_path, capsys, mutate):
     ({"kind": "pq", "p": 7, "q": "inf"}, 0),
     ({"kind": "mystery"}, 0),
     (None, 0),
+    # the float closed forms would overflow
+    ({"kind": "pq", "p": 10**400, "q": 3}, 4),
+    ({"kind": "pq", "p": 7, "q": 10**400}, 4),
 ])
 def test_family_block_exit_code(tmp_path, capsys, family, code):
     # malformed blocks are malformed input; values the generator rejects
@@ -572,6 +575,10 @@ def test_report_digests_pinned(pinned_inputs, capsys, name):
         if command in ("bounds", "alpha", "comb-alpha", "compare"):
             argv += ["--budget-edges", "3", "--budget-generators", "2"]
         code = main(argv)
-        report = capsys.readouterr().out.encode("utf-8")
-        got[command] = (code, hashlib.sha256(report).hexdigest())
+        text = capsys.readouterr().out
+        got[command] = (code, hashlib.sha256(text.encode("utf-8")).hexdigest())
+        # the canonical writer is json.dumps(sort_keys=True, indent=2)
+        parsed = json.loads(text)
+        assert canonical_json(parsed) + "\n" == text, command
+        assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text, command
     assert got == REPORT_DIGESTS[name]
