@@ -565,21 +565,30 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
     if not ends.keys() >= edges:
         raise KeyError(f"unknown edge {next(e for e in edges if e not in ends)}")
 
-    # the selected edges at each vertex; their number is its selection degree
+    # the neighbours of each vertex along selected edges, one per edge:
+    # their number is its selection degree, and the walk needs no edge lookup
     adj: dict[int, list[int]] = {}
     for e in edges:
         a, b = ends[e]
-        adj.setdefault(a, []).append(e)
-        adj.setdefault(b, []).append(e)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
     vertices = frozenset(adj)
-    if len(_reach(next(iter(vertices)), adj, ends)) != len(vertices):
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != len(vertices):
         raise DisconnectedSelection("selection does not induce a connected subgraph")
 
     true_degree = g.true_degree
     at_boundary = []
     boundary_degree = 0
-    for v, es in adj.items():
-        d = len(es)
+    for v, nbrs in adj.items():
+        d = len(nbrs)
         td = true_degree[v]
         if td is None:
             raise FrontierContact(f"vertex {v} has unknown true degree")

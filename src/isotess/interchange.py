@@ -21,7 +21,10 @@ entries, frontier vertices, true degrees and face reps are JSON integers
 spelled exactly ``str(v)`` for a vertex ``v`` of the record ("00", " 0"
 and ids of no vertex are rejected as InputFormatError).
 Rotation lists are cyclic clockwise sequences; lengths are rational
-strings ("p/q" or decimal).  ``unbounded_face_reps`` names one directed
+strings ("p/q" or decimal).  Integers, and the numerators and
+denominators of lengths, have at most ``sys.get_int_max_str_digits()``
+decimal digits (4,300 by default), so that every value can be written
+back; longer ones are InputFormatError.  ``unbounded_face_reps`` names one directed
 edge ``[edge, head]`` lying on each unbounded face.  Everything else is
 order-insensitive.
 
@@ -168,7 +171,11 @@ def save(record: Mapping, path: str | Path) -> None:
 
 
 def load_record(path: str | Path, data: bytes | None = None) -> dict:
-    """Parse the record in ``data``, the bytes of ``path`` (read when None)."""
+    """Parse the record in ``data``, the bytes of ``path`` (read when None).
+
+    InputFormatError when the bytes are not UTF-8 or not JSON, hold an
+    integer longer than Python's digit limit, or are not a record object.
+    """
     if data is None:
         data = Path(path).read_bytes()
     try:
@@ -178,6 +185,9 @@ def load_record(path: str | Path, data: bytes | None = None) -> dict:
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                                f"column {exc.colno}") from exc
+    except ValueError as exc:
+        # an integer literal longer than sys.get_int_max_str_digits()
+        raise InputFormatError(f"{path}: a JSON integer has too many digits") from exc
     if not isinstance(record, dict):
         raise InputFormatError(f"{path}: top-level record must be an object")
     fmt = record.get("format", FORMAT)

@@ -12,7 +12,10 @@ candidate's share, so most sets cost one visitor call and no recursion.
 The scans run in one process and in integers (lengths scaled by L, the
 lcm of their denominators; ratios cross-multiplied); each result builds
 one Fraction, for the smallest ratio with the lexicographically smallest
-witness, so results do not depend on the visiting order.
+witness, so results do not depend on the visiting order.  The brute-force
+minimum over edge subsets bounds each batch from below and skips the
+batches that cannot beat or tie its best so far; skipped sets still
+count, so counts, values and witnesses are those of the full scan.
 """
 
 from __future__ import annotations
@@ -75,10 +78,16 @@ class Bound:
 # canonical enumeration of connected subsets (ESU)
 # ---------------------------------------------------------------------------
 
+def _exceeded(max_yield: int) -> BudgetExceeded:
+    """The error of a scan that would pass ``max_yield`` sets."""
+    return BudgetExceeded(f"enumeration exceeded max_yield={max_yield}", max_yield + 1)
+
+
 def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
          push: Callable[[int], None], pop: Callable[[int], None],
          emit: Callable[[list[int], Sequence[int], int], None],
-         max_yield: int) -> int:
+         max_yield: int,
+         skip: Callable[[list[int], int], bool] | None = None) -> int:
     """Visit every connected node set of size <= max_size exactly once.
 
     Nodes are 0..n-1 with sorted adjacency lists ``nbrs``.  Each set is
@@ -92,14 +101,23 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
     running statistics as a node enters and leaves ``stack``, so an emit
     reads the statistics of ``stack`` and adds j's share.
 
+    ``skip(stack, j)``, when given, is asked once per set ``stack + [j]``
+    of max_size - 1 nodes, right after that set is visited: True means
+    the caller needs none of its extensions, the sets at the size limit
+    grown from it.  They are then counted, and the ``max_yield`` check
+    runs on them as if they were emitted, but j is not pushed and no emit
+    is called for them.  The hook removes visits only: the count, the
+    index of every set and the order of the visits that remain are the
+    same as without it.
+
     Cost: only sets that can still grow are pushed.  Each set of fewer
     than max_size nodes gets its own emit call, one push and one pop, in
     depth-first order; a set of max_size - 1 nodes then hands all of its
-    extensions to one emit.  The sets at the size limit, most of the
-    sets, cost no push, pop, touched mark, slice or recursion.  A batch
-    that would pass ``max_yield`` sets raises BudgetExceeded(message,
-    max_yield + 1) before it is emitted.  Returns the number of sets
-    visited.
+    extensions to one emit, or to none when skipped.  The sets at the
+    size limit, most of the sets, cost no push, pop, touched mark, slice
+    or recursion.  A batch that would pass ``max_yield`` sets raises
+    BudgetExceeded(message, max_yield + 1) before it is emitted.  Returns
+    the number of sets visited or skipped.
     """
     touched = bytearray(len(nbrs))
     stack: list[int] = []
@@ -108,10 +126,22 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
     def batch(cands: Sequence[int]) -> None:
         nonlocal count
         if count + len(cands) > max_yield:
-            raise BudgetExceeded(f"enumeration exceeded max_yield={max_yield}",
-                                 max_yield + 1)
+            raise _exceeded(max_yield)
         emit(stack, cands, count)
         count += len(cands)
+
+    def skipped(j: int, later: int) -> bool:
+        # the extensions of stack + [j]: ``later`` nodes after j in its
+        # parent's list and j's neighbours no smaller set has reached
+        nonlocal count
+        if not skip(stack, j):
+            return False
+        near = nbrs[j]
+        n = later + len(near) - sum(map(touched.__getitem__, near))
+        if count + n > max_yield:
+            raise _exceeded(max_yield)
+        count += n
+        return True
 
     def extend(i: int, ext: list[int]) -> None:
         # stack + [i] has been visited and can grow: push i, then grow the
@@ -126,9 +156,11 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
             for j in fresh:
                 touched[j] = 1
             ext = ext + fresh
+            last = skip is not None and len(stack) + 2 == max_size
             for k, j in enumerate(ext):
                 batch((j,))
-                extend(j, ext[k + 1:])
+                if not (last and skipped(j, len(ext) - k - 1)):
+                    extend(j, ext[k + 1:])
             for j in fresh:
                 touched[j] = 0
         pop(i)
@@ -137,10 +169,12 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
     if max_size <= 1:
         batch(range(len(nbrs)))
         return count
+    last = skip is not None and max_size == 2
     for r in range(len(nbrs)):
         touched[r] = 1  # r stays touched: later roots never revisit it
         batch((r,))
-        extend(r, [])
+        if not (last and skipped(r, 0)):
+            extend(r, [])
     return count
 
 
@@ -159,7 +193,9 @@ def length_scale(g: MetricGraph, edge_ids: Iterable[int]) -> int:
 
 def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
                                 eligible_edges: Iterable[int] | None = None,
-                                max_yield: int = 2_000_000) -> int:
+                                max_yield: int = 2_000_000, *,
+                                _hopeless: Callable[[int, int, int], bool] | None = None
+                                ) -> int:
     """Visitor-style scan for callers that cannot afford materialized sets.
 
     ``visit(stack, boundary_degree, measure, index)`` runs once per
@@ -168,6 +204,24 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
     ``measure`` is an int in units of 1/L, L = ``length_scale(g, eligible
     edges)``.  The eligible edges default to the frontier-free region.
     This is the ESU scan on the line graph.  Returns the number of subsets.
+
+    ``_hopeless(first, num, den)``, private to :func:`_lex_min`, lets the
+    scan skip a whole leaf batch (the sets ``stack + [j]`` of one emit)
+    without visiting it.  Call a vertex a closer when it has 1 <= deg =
+    td - 1, deg counting its edges in ``stack`` and td its true degree.
+    With no closer, every leaf edge j has an end in the set, which adds
+    +1, and its other end adds at least ``low`` (0 if some eligible vertex
+    has td 1, else 1), while j adds at most the longest eligible length
+    ``top``: every leaf has ratio >= (bd + 1 + low) / (mes + top).  The
+    batch is skipped when ``_hopeless(stack[0], bd + 1 + low, mes + top)``
+    says that no set of that ratio or more, grown from ``stack[0]``, can
+    change the caller's result.  Each emit checks this on the statistics
+    of ``stack``, which also covers the single sets visited below the size
+    limit; before a set of max_edges - 1 edges is pushed, ``_esu``'s
+    ``skip`` checks it for that set's leaves, so a skipped leaf batch costs
+    no push, pop or emit.  Skipped sets still count, and the sets that are
+    visited come in the same order, so the return value, the indices and
+    the ``max_yield`` boundary do not depend on the hook.
     """
     edge_ids = sorted(eligible_edges if eligible_edges is not None
                       else g.frontier_free_edges())
@@ -182,30 +236,48 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
     index = {e: i for i, e in enumerate(edge_ids)}
     nbrs = [sorted({index[f] for v in g.edge_ends[e] for f in g.rotation[v]
                     if f in index} - {i}) for i, e in enumerate(edge_ids)]
+    # the floor of a leaf's boundary degree over bd, and of its measure over mes
+    gain = 1 if 1 in truedeg else 2
+    top = max(lengths, default=0)
 
     deg = [0] * len(vid)
     bd = 0
     mes = 0
+    closers = 0
 
     # a vertex adds its degree d in S to bd until d reaches its true degree
     def push(i: int) -> None:
-        nonlocal bd, mes
+        nonlocal bd, mes, closers
         for w in ends[i]:
             d = deg[w] = deg[w] + 1
-            bd += 1 if d < truedeg[w] else 1 - d
+            t = truedeg[w]
+            if d < t:
+                bd += 1
+                closers += d == t - 1
+            else:
+                bd += 1 - d
+                closers -= d > 1
         mes += lengths[i]
 
     def pop(i: int) -> None:
-        nonlocal bd, mes
+        nonlocal bd, mes, closers
         for w in ends[i]:
             d = deg[w]
-            bd += d - 1 if d == truedeg[w] else -1
+            if d == truedeg[w]:
+                bd += d - 1
+                closers += d > 1
+            else:
+                bd -= 1
+                closers -= d == truedeg[w] - 1
             deg[w] = d - 1
         mes -= lengths[i]
 
     # the set stack + [j] has the statistics of push(j), read without
     # storing; the two ends differ, since build_graph rejects loops
     def emit(stack: list[int], cands: Sequence[int], idx: int) -> None:
+        if not closers and stack and _hopeless is not None \
+                and _hopeless(stack[0], bd + gain, mes + top):
+            return
         stack.append(-1)
         for idx, j in enumerate(cands, idx):
             a, b = ends[j]
@@ -215,7 +287,25 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
                   + (1 if db < truedeg[b] else 1 - db), mes + lengths[j], idx)
         stack.pop()
 
-    return _esu(nbrs, max_edges, push, pop, emit, max_yield)
+    # the leaves of stack + [j], from the statistics of push(j) read
+    # without storing: a new closer at an end rules the floor out
+    def skip(stack: list[int], j: int) -> bool:
+        n, b = closers, bd
+        for w in ends[j]:
+            d = deg[w] + 1
+            t = truedeg[w]
+            if d < t:
+                if d == t - 1:
+                    return False
+                b += 1
+            else:
+                n -= d > 1
+                b += 1 - d
+        return not n and _hopeless(stack[0] if stack else j, b + gain,
+                                   mes + lengths[j] + top)
+
+    return _esu(nbrs, max_edges, push, pop, emit, max_yield,
+                None if _hopeless is None else skip)
 
 
 def enumerate_connected_subgraphs(g: MetricGraph, max_edges: int,
@@ -326,16 +416,27 @@ def enumerate_starlike_complete(g: MetricGraph, max_generators: int,
 # brute-force upper bounds
 # ---------------------------------------------------------------------------
 
-def _lex_min(scan: Callable[[Callable], int], ids: Sequence[int], what: str,
+def _lex_min(scan: Callable[[Callable, Callable], int], ids: Sequence[int], what: str,
              skip_zero: bool = False) -> tuple[int, int, tuple[int, ...], int]:
     """(num, den, witness ids, count) of the smallest (num/den, sorted set).
 
-    ``scan(visit)`` runs an ESU scan calling ``visit(stack, num, den, index)``
-    per set (den > 0), with no Fraction; ``skip_zero`` drops num = 0.  ESU
-    grows each set from its smallest index, ``stack[0]``, and visits roots
-    in increasing order: a tie whose ``stack[0]`` exceeds the best's first
-    index cannot give a smaller witness and is skipped unsorted.  A scan
-    with no set to choose from raises EmptyFrontierFreeRegion.
+    ``scan(visit, hopeless)`` runs an ESU scan calling ``visit(stack, num,
+    den, index)`` per set (den > 0), with no Fraction; ``skip_zero`` drops
+    num = 0.  ESU grows each set from its smallest index, ``stack[0]``,
+    and visits roots in increasing order: a tie whose ``stack[0]`` exceeds
+    the best's first index cannot give a smaller witness and is skipped
+    unsorted.  A scan with no set to choose from raises
+    EmptyFrontierFreeRegion.
+
+    ``hopeless(first, num, den)`` is True when no set grown from index
+    ``first`` with ratio >= num/den > 0 can replace the best so far: the
+    floor is above the best ratio, or equals it and the set's witness is
+    lexicographically larger, because ``first`` exceeds the best's first
+    index or the best is the single set ``[first]``, a prefix of every
+    larger set grown from ``first``.  A scan may skip, uncalled, any
+    visits the hook rules out; the best can only fall as the scan goes
+    on, so those visits would not have changed it, and the result is the
+    same with or without the skips.  Skipped sets still count.
     """
     best_num, best_den, best = 1, 0, None  # 1/0 is above every ratio
 
@@ -349,7 +450,11 @@ def _lex_min(scan: Callable[[Callable], int], ids: Sequence[int], what: str,
         if left < right or witness < best:
             best_num, best_den, best = num, den, witness
 
-    count = scan(visit)
+    def hopeless(first, num, den):
+        left, right = num * best_den, best_num * den
+        return left > right or (left == right and (first > best[0] or best == [first]))
+
+    count = scan(visit, hopeless)
     if best is None:
         raise EmptyFrontierFreeRegion(f"no {what} in the frontier-free region")
     return best_num, best_den, tuple(ids[i] for i in best), count
@@ -377,8 +482,9 @@ def alpha_upper_bruteforce(g: MetricGraph, budget: Budget,
     edge_ids = sorted(eligible_edges if eligible_edges is not None
                       else g.frontier_free_edges())
     bd, mes, witness, count = _lex_min(
-        lambda visit: scan_connected_edge_subsets(
-            g, budget.max_edges, visit, edge_ids, budget.max_yield),
+        lambda visit, hopeless: scan_connected_edge_subsets(
+            g, budget.max_edges, visit, edge_ids, budget.max_yield,
+            _hopeless=hopeless),
         edge_ids, "proper subgraph" if proper_only else "subgraph",
         skip_zero=proper_only)
     bound = Bound(value=Fraction(bd * length_scale(g, edge_ids), mes),
@@ -402,7 +508,7 @@ def alpha_comb_upper_bruteforce(g: MetricGraph, budget: Budget) -> CombUpperResu
     """
     vertex_ids = g.frontier_free_vertices()
     cut, sumdeg, witness, count = _lex_min(
-        lambda visit: _scan_connected_vertex_sets(
+        lambda visit, hopeless: _scan_connected_vertex_sets(
             g, vertex_ids, budget.max_generators, visit, budget.max_yield),
         vertex_ids, "vertex set")
     return CombUpperResult(value=Fraction(cut, sumdeg), witness_vertices=witness,

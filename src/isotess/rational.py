@@ -17,10 +17,14 @@ the convention 1/inf == 0 exactly.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 INF = float("inf")
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 
 # A finite Fraction or the INF sentinel.
 Extended = Fraction | float
@@ -53,8 +57,30 @@ def exact_sum(values: Iterable[Fraction]) -> Fraction:
     return Fraction(*scaled_sum([(x.numerator, x.denominator) for x in values]))
 
 
+def _digit_limit() -> int:
+    """Python's limit on the decimal digits of an int converted to or from text; 0 for none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get is not None else 0
+
+
+def _too_long(n: int, limit: int) -> bool:
+    """Whether ``n`` has more than ``limit`` decimal digits."""
+    # n < 2**(3 limit) = 8**limit has at most ``limit`` digits
+    return n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
+
+
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse "p/q", a decimal string like "0.25", or an integer."""
+    """Parse "p/q", a decimal string like "0.25", or an integer.
+
+    Python reads and writes ints of at most ``sys.get_int_max_str_digits()``
+    decimal digits.  A string whose numerator or denominator would be
+    longer is a ValueError, since the value could not be written back.
+    The integer and fraction digits before an exponent are each within
+    the limit, or Fraction rejects them, so a nonzero value whose decimal
+    exponent exceeds three times the limit is too long: such an exponent
+    is rejected before any arithmetic, zero mantissa or not, and the rest
+    are checked once the Fraction is built.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, bool):
@@ -62,7 +88,17 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text.strip())
+        text = text.strip()
+        limit = _digit_limit()
+        if not limit:
+            return Fraction(text)
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent.group(1))) > 3 * limit:
+            raise ValueError("decimal exponent out of range")
+        value = Fraction(text)
+        if _too_long(value.numerator, limit) or _too_long(value.denominator, limit):
+            raise ValueError(f"numerator or denominator has more than {limit} digits")
+        return value
     raise ValueError(f"not a rational: {text!r}")
 
 

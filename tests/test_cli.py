@@ -95,6 +95,13 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     utf16.write_bytes(b"\xff\xfe" + '{"vertices": []}'.encode("utf-16-le"))
     assert run(["faces", str(utf16)]) == 4
     assert "not UTF-8" in capsys.readouterr().err
+    # json.loads refuses an integer of more digits than Python converts
+    record = k4_record()
+    record["vertices"][0]["id"] = 987654321
+    huge = tmp_path / "huge-id.json"
+    huge.write_text(canonical_json(record).replace("987654321", "9" * 5001, 1))
+    assert run(["faces", str(huge)]) == 4
+    assert "too many digits" in capsys.readouterr().err
 
 
 def test_budget_exhausted_exit_code(tmp_path, capsys):
@@ -328,12 +335,16 @@ def test_gen_invalid_params_exit(tmp_path, capsys):
     lambda r: r.update(true_degree={"999": 3}),
     lambda r: r.update(true_degree={"0_0": 3}),
     lambda r: r.update(true_degree={"0": 3, "00": 3}),
+    # a length Python could read but not write back: over the digit limit
+    lambda r: r["edges"][0].update(length="1e-999999"),
+    lambda r: r["edges"][0].update(length="1e-4300"),
 ], ids=["no-rotation", "id-not-int", "no-vertices", "true-degree-not-int",
         "short-face-rep", "three-ends", "no-length", "vertex-id-float",
         "edge-id-float", "rotation-floats", "edge-end-bool", "true-degree-float",
         "length-bool-after-str", "length-float-after-str", "length-bool-after-int",
         "length-float-after-int", "true-degree-unknown-vertex",
-        "true-degree-key-underscore", "true-degree-key-leading-zero"])
+        "true-degree-key-underscore", "true-degree-key-leading-zero",
+        "length-exponent-over-digit-limit", "length-denominator-over-digit-limit"])
 def test_malformed_record_exit_code(tmp_path, capsys, mutate):
     record = k4_record()
     mutate(record)
