@@ -298,11 +298,13 @@ def degsum_check(g: MetricGraph, sel: SubgraphSelection,
     lhs = Fraction(*scaled_sum(terms))
     rhs = Fraction(sel.boundary_degree)
 
+    inner, ends = sel.interior_vertices, g.edge_ends
+    interior_edges = {e for e in sel.edges if ends[e][0] in inner and ends[e][1] in inner}
     cut_sides = 0
-    for e in sel.interior_edges:
+    for e in interior_edges:
         for dart in g.darts_of(e):
             tile = g.tile_of(dart)
-            if tile.status != BOUNDED or not tile.edges <= sel.interior_edges:
+            if tile.status != BOUNDED or not tile.edges <= interior_edges:
                 cut_sides += 1
     inv_p = reciprocal(report.P)
     tech_rhs = rhs * (Fraction(1) - reciprocal(report.M) - 2 * inv_p) \

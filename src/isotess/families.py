@@ -18,6 +18,7 @@ from .errors import (
     GraphError,
     InputFormatError,
     NegativeCurvatureParams,
+    OutOfRange,
     ParamTooSmall,
     RadiusTooSmall,
     TruncationTooShallow,
@@ -25,6 +26,7 @@ from .errors import (
 from .graphcore import MetricGraph, subgraph_stats
 from .interchange import make_record
 from .isoperimetry import Bound
+from .rational import _digit_limit, _too_long
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +360,11 @@ def gen_gk(params: GkParams) -> dict:
 
     edge_ends: dict[int, tuple[int, int]] = {}
     lengths: dict[int, Fraction] = {}
-    classes: dict[int, tuple[str, int]] = {}
 
     def edge(u: int, w: int, kind: str, n: int) -> int:
         e = len(edge_ends)
         edge_ends[e] = (u, w)
         lengths[e] = _gk_edge_length(kind, n)
-        classes[e] = (kind, n)
         return e
 
     up: dict[int, int] = {}
@@ -515,9 +515,18 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
     GraphError; a record that is not G_k with this k, or whose ``cols`` is not
     a vertex id, raises it before any work, and a G_k block whose ``k``,
     ``tree_depth`` or ``cols`` is missing or not an integer is InputFormatError.
+    A (k, l) whose measure, boundary degree or ratio would have more digits
+    than Python writes is OutOfRange, before (k-1)^l is formed when a bound
+    on the measure's digits already shows it.
     """
     if k < 3 or l < 2:
         raise ParamTooSmall("need k >= 3 and l >= 2")
+    # Python writes ints of at most ``limit`` digits.  The measure's
+    # numerator is at least (k-1)^l >= 2^(l(b-1)), b the bit length of
+    # k-1, and 2^(4 limit) = 16^limit has more than ``limit`` digits.
+    limit = _digit_limit()
+    if limit and l * ((k - 1).bit_length() - 1) >= 4 * limit:
+        raise OutOfRange(f"k = {k}, l = {l}: the measure has more than {limit} digits")
     if graph is not None:
         family = (record or {}).get("family")
         if not isinstance(family, dict) or family.get("kind") != "gk" \
@@ -534,11 +543,16 @@ def gk_witness_sequence(k: int, l: int, graph: MetricGraph | None = None,
             raise GraphError(f"family cols = {root} is not a vertex id")
     measure = Fraction(k * ((k - 1) ** l - 1), k - 2)
     boundary_degree = k + k * (k - 1) ** (l - 1)
+    ratio = Fraction(boundary_degree) / measure
+    if limit and any(_too_long(n, limit) for n in (
+            measure.numerator, measure.denominator, boundary_degree,
+            ratio.numerator, ratio.denominator)):
+        raise OutOfRange(f"k = {k}, l = {l}: the witness data has more than {limit} digits")
     out = {
         "k": k, "l": l,
         "measure": measure,
         "boundary_degree": boundary_degree,
-        "ratio": Fraction(boundary_degree) / measure,
+        "ratio": ratio,
         "limit": Fraction(k - 2, k - 1),
         "cross_checked": False,
     }

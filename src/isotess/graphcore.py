@@ -153,15 +153,14 @@ class MetricGraph:
 
 @dataclass(frozen=True)
 class SubgraphSelection:
-    """A finite edge subset with its derived boundary bookkeeping."""
+    """A connected edge subset: the vertices whose whole star it holds, the
+    selection degrees of the others summed, and its total length.  Readers
+    derive other sets (boundary vertices, interior edges) from these."""
 
     edges: frozenset[int]
-    vertices: frozenset[int]
-    boundary: frozenset[int]
+    interior_vertices: frozenset[int]
     boundary_degree: int
     measure: Fraction
-    interior_vertices: frozenset[int]
-    interior_edges: frozenset[int]
 
     @property
     def ratio(self) -> Fraction:
@@ -551,14 +550,15 @@ def validate_tessellation(g: MetricGraph, mode: str = "finite") -> ValidationRep
 # ---------------------------------------------------------------------------
 
 def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection:
-    """Boundary, boundary degree, measure and interior of an edge subset.
+    """Interior vertices, boundary degree and measure of a connected edge subset.
 
+    Ids are taken as given: one that is not an edge of ``g`` is a KeyError.
     Cost O(|S|) for a selection of |S| edges, plus one lcm and one
     normalisation: the measure sums the integer length parts of
     ``g.length_parts`` over the lcm of the selection's own denominators
     (:func:`~isotess.rational.scaled_sum`) and builds one Fraction.
     """
-    edges = frozenset(map(int, edge_ids))
+    edges = frozenset(edge_ids)
     if not edges:
         raise DisconnectedSelection("empty selection")
     ends = g.edge_ends
@@ -572,7 +572,6 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
         a, b = ends[e]
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    vertices = frozenset(adj)
     start = next(iter(adj))
     seen = {start}
     stack = [start]
@@ -581,11 +580,11 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if len(seen) != len(vertices):
+    if len(seen) != len(adj):
         raise DisconnectedSelection("selection does not induce a connected subgraph")
 
     true_degree = g.true_degree
-    at_boundary = []
+    interior = []
     boundary_degree = 0
     for v, nbrs in adj.items():
         d = len(nbrs)
@@ -595,18 +594,12 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
         if d > td:
             raise InconsistentFrontier(f"vertex {v}: selection degree {d} > true degree {td}")
         if d < td:
-            at_boundary.append(v)
             boundary_degree += d
-    boundary = frozenset(at_boundary)
-    interior_vertices = vertices - boundary
-    interior_edges = frozenset(
-        e for e in edges if ends[e][0] in interior_vertices and ends[e][1] in interior_vertices)
+        else:
+            interior.append(v)
     parts = g.length_parts
     measure = Fraction(*scaled_sum([parts[e] for e in edges]))
-    return SubgraphSelection(
-        edges=edges, vertices=vertices, boundary=boundary,
-        boundary_degree=boundary_degree, measure=measure,
-        interior_vertices=interior_vertices, interior_edges=interior_edges)
+    return SubgraphSelection(edges, frozenset(interior), boundary_degree, measure)
 
 
 def _interior_faces(g: MetricGraph, inner: frozenset[int]):
@@ -772,19 +765,15 @@ def complete_closure(g: MetricGraph, sel: SubgraphSelection) -> SubgraphSelectio
     cycles of its tiles.  The result is star-like and complete, and its
     boundary degree never exceeds the input's.  Those faces hold only
     bounded tiles, and ``build_graph`` never marks a tile with a frontier
-    vertex on its cycle bounded, so every added star is complete.
+    vertex on its cycle bounded, so every added star is complete.  A
+    selection with nothing to absorb is returned as it is, uncopied.
     """
-    edges = set(sel.edges)
-    current = sel
     while True:
-        groups, ambiguous = _bounded_faces(g, current.interior_vertices)
+        groups, ambiguous = _bounded_faces(g, sel.interior_vertices)
         if ambiguous:
             raise FrontierContact("closure cannot resolve faces near the frontier")
         to_add = {v for ts in groups for t in ts for _, v in g.tiles[t].cycle
-                  if v not in current.interior_vertices}
+                  if v not in sel.interior_vertices}
         if not to_add:
-            break
-        for v in to_add:
-            edges.update(g.rotation[v])
-        current = subgraph_stats(g, edges)
-    return current
+            return sel
+        sel = subgraph_stats(g, sel.edges.union(*(g.rotation[v] for v in to_add)))

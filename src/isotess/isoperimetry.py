@@ -21,6 +21,7 @@ count, so counts, values and witnesses are those of the full scan.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -521,8 +522,7 @@ def alpha_comb_upper_bruteforce(g: MetricGraph, budget: Budget) -> CombUpperResu
 
 def lower_bounds(g: MetricGraph, report: CurvatureReport | None = None,
                  budget: Budget | None = None,
-                 total_measure: Fraction | None = None,
-                 include_est01: bool = True) -> list[Bound]:
+                 total_measure: Fraction | None = None) -> list[Bound]:
     """Observed lower bounds from the curvature constants.
 
     Emits c*/K and c* when positive, the empirical averaged-curvature
@@ -544,38 +544,37 @@ def lower_bounds(g: MetricGraph, report: CurvatureReport | None = None,
                          side="lower", certified=certified,
                          note="alpha >= c_*"))
 
-    if include_est01:
-        budget = budget or Budget()
-        try:
-            selections, _ = enumerate_starlike_complete(
-                g, budget.max_generators, max_yield=budget.max_yield)
-        except (FrontierContact, BudgetExceeded):
-            selections = []
-        # w(e) = c(e)|e| as integer parts, once per edge; each average
-        # sum w(e) / mes(S) is compared with the smallest so far by
-        # cross-multiplication and only the smallest becomes a Fraction
-        weight: dict[int, tuple[int, int]] = {}
-        for e in set().union(*[sel.edges for sel in selections]):
-            c = report.char_value[e]
-            if c is not None:
-                w = c * g.length[e]
-                weight[e] = (w.numerator, w.denominator)
-        best_num, best_den = 1, 0  # 1/0 is above every average
-        averaged = 0
-        for sel in selections:
-            if weight.keys() >= sel.edges:
-                num, scale = scaled_sum([weight[e] for e in sel.edges])
-                mes = sel.measure
-                num, den = num * mes.denominator, scale * mes.numerator
-                if num * best_den < best_num * den:
-                    best_num, best_den = num, den
-                averaged += 1
-        if averaged:
-            value = min(Fraction(2) / report.ell_star, Fraction(best_num, best_den))
-            out.append(Bound(value=value, provenance="est01_empirical",
-                             side="lower", certified=False,
-                             note=f"min(2/ell*, averaged curvature over "
-                                  f"{averaged} star-like complete subgraphs)"))
+    budget = budget or Budget()
+    try:
+        selections, _ = enumerate_starlike_complete(
+            g, budget.max_generators, max_yield=budget.max_yield)
+    except (FrontierContact, BudgetExceeded):
+        selections = []
+    # w(e) = c(e)|e| as integer parts, once per edge; each average
+    # sum w(e) / mes(S) is compared with the smallest so far by
+    # cross-multiplication and only the smallest becomes a Fraction
+    weight: dict[int, tuple[int, int]] = {}
+    for e in set().union(*[sel.edges for sel in selections]):
+        c = report.char_value[e]
+        if c is not None:
+            w = c * g.length[e]
+            weight[e] = (w.numerator, w.denominator)
+    best_num, best_den = 1, 0  # 1/0 is above every average
+    averaged = 0
+    for sel in selections:
+        if weight.keys() >= sel.edges:
+            num, scale = scaled_sum([weight[e] for e in sel.edges])
+            mes = sel.measure
+            num, den = num * mes.denominator, scale * mes.numerator
+            if num * best_den < best_num * den:
+                best_num, best_den = num, den
+            averaged += 1
+    if averaged:
+        value = min(Fraction(2) / report.ell_star, Fraction(best_num, best_den))
+        out.append(Bound(value=value, provenance="est01_empirical",
+                         side="lower", certified=False,
+                         note=f"min(2/ell*, averaged curvature over "
+                              f"{averaged} star-like complete subgraphs)"))
 
     if total_measure is not None:
         out.append(Bound(value=Fraction(2) / total_measure,
@@ -597,13 +596,25 @@ class AlphaBracket:
 
 def cheeger_interval(alpha: Fraction | float, ell_min: Fraction
                      ) -> tuple[Fraction | float, float]:
-    """(alpha^2/4, pi^2 alpha / (2 ell_min)): the lambda_0 bracket."""
+    """(alpha^2/4, pi^2 alpha / (2 ell_min)): the lambda_0 bracket.
+
+    The upper end is the float expression below.  Where that raises, alpha
+    or ell_min being outside the float range, it is the exact
+    alpha / (2 ell_min) times (355/113)^2 > pi^2, rounded up to a float:
+    ``inf`` beyond the largest one.
+    """
     if ell_min <= 0:
         raise NonPositiveEllMin(f"ell_min = {ell_min}")
     if alpha < 0:
         raise OutOfRange(f"alpha = {alpha} < 0")
     lower = alpha * alpha / 4
-    upper = math.pi ** 2 * float(alpha) / (2 * float(ell_min))
+    try:
+        upper = math.pi ** 2 * float(alpha) / (2 * float(ell_min))
+    except (OverflowError, ZeroDivisionError):
+        exact = Fraction(alpha) / (2 * ell_min) * Fraction(355, 113) ** 2
+        upper = float(exact) if exact <= sys.float_info.max else INF
+        if upper < exact:
+            upper = math.nextafter(upper, INF)
     return lower, upper
 
 
@@ -618,8 +629,7 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
                   family_bounds: Sequence[Bound] = (),
                   certified_ell_star: Fraction | None = None,
                   certified_ell_min: Fraction | None = None,
-                  workers: int = 1,
-                  report: CurvatureReport | None = None) -> AlphaBracket:
+                  workers: int = 1) -> AlphaBracket:
     """Assemble all lower/upper bounds on alpha.
 
     Always includes the universal upper bound 2/ell*.  If some certified
@@ -630,8 +640,7 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
     selects nothing, as in :func:`alpha_upper_bruteforce`.
     """
     budget = budget or Budget()
-    if report is None:
-        report = global_constants(g)
+    report = global_constants(g)
     bracket = AlphaBracket()
     bounds = bracket.bounds
     finite = g.is_frontier_free

@@ -60,7 +60,7 @@ def bracket_json(br: AlphaBracket) -> dict:
     if br.cheeger is not None:
         out["cheeger"] = {
             "lambda0_lower": value_json(br.cheeger["lambda0_lower"]),
-            "lambda0_upper": br.cheeger["lambda0_upper"],
+            "lambda0_upper": value_json(br.cheeger["lambda0_upper"]),
             "ell_min": value_json(br.cheeger["ell_min"]),
             "certified": br.cheeger["certified"],
         }

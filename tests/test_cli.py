@@ -3,12 +3,14 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from isotess.cli import main
 from isotess.interchange import canonical_json, save
+from isotess.rational import parse_rational
 
 from conftest import finite_corpus, k4_record, wheel_record
 
@@ -277,6 +279,46 @@ def test_witness_command(tmp_path, capsys):
         assert run(["witness", "--k", "3", "--l", "2", "--input", str(g3)]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err and name in err
+
+
+@pytest.mark.parametrize("l,code", [(14000, 0), (15000, 2), (1_000_000_000, 2)])
+def test_witness_digit_limit(tmp_path, capsys, l, code):
+    # a measure Python could not write is a failed precondition (exit 2);
+    # for a huge l the bound on its digits rules before (k-1)^l is formed
+    out = tmp_path / "w.json"
+    start = time.perf_counter()
+    assert run(["witness", "--k", "3", "--l", str(l), "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert len(read(out)["result"]["measure"]) > 4000
+    else:
+        assert "OutOfRange" in err and not out.exists()
+    if l > 10**6:
+        assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("lengths", ["one 1e-400", "all 1e400"])
+def test_lengths_outside_float_range(tmp_path, capsys, lengths):
+    # exact lengths below the least positive float or above the largest
+    # one: every analysis command succeeds, and the Cheeger upper end
+    # falls back to the exact ratio where the float expression raises
+    which, length = lengths.split()
+    record = k4_record()
+    for item in record["edges"][:1] if which == "one" else record["edges"]:
+        item["length"] = length
+    path = tmp_path / "k4.json"
+    save(record, path)
+    for command in ("validate", "faces", "curvature", "gauss-bonnet", "bounds",
+                    "alpha", "comb-alpha", "compare"):
+        assert run([command, str(path)]) == 0, command
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err, command
+        result = json.loads(out)["result"]
+        if command in ("alpha", "compare"):
+            bracket = result["alpha"] if command == "compare" else result
+            assert bracket["cheeger"]["lambda0_upper"] == 0.0
+            assert bracket["cheeger"]["ell_min"] == str(parse_rational(length))
 
 
 def test_gen_roundtrip_validates(tmp_path, capsys):

@@ -172,7 +172,8 @@ def test_tree_star_stats():
 def test_whole_finite_graph_has_empty_boundary(k4):
     sel = subgraph_stats(k4, list(k4.edges))
     assert sel.boundary_degree == 0
-    assert sel.boundary == frozenset()
+    # no boundary vertex: every vertex of the selection has its whole star
+    assert sel.interior_vertices == frozenset(k4.vertices)
     assert classify_subgraph(k4, sel) == (True, True)
 
 
@@ -192,6 +193,17 @@ def test_disconnected_selection_rejected():
     e2 = [e for e in g.rotation[child2] if g.other_end(e, child2) != 0][0]
     with pytest.raises(DisconnectedSelection):
         subgraph_stats(g, [e1, e2])
+
+
+@pytest.mark.parametrize("bad", ["0", 0.5])
+def test_selection_ids_are_not_coerced(k4, bad):
+    # ids are taken as given: a string or float naming no edge does not
+    # select edge 0, it is an unknown edge like any other
+    assert 0 in k4.edge_ends
+    with pytest.raises(KeyError, match="unknown edge"):
+        subgraph_stats(k4, [bad])
+    with pytest.raises(KeyError, match="unknown edge"):
+        subgraph_stats(k4, [0, bad])
 
 
 def _ball44(radius):

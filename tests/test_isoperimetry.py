@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -126,8 +127,11 @@ def test_starlike_enumeration_square_yields_block():
     for sel in sels:
         assert classify_subgraph(g, sel) == (True, True)
     # the 2x2-block star union must be among them, with interior a 4-cycle
+    def interior_edges(s):
+        return [e for e in s.edges if set(g.edge_ends[e]) <= s.interior_vertices]
+
     blocks = [s for s in sels if len(s.interior_vertices) == 4
-              and len(s.interior_edges) == 4 and len(s.edges) == 12]
+              and len(interior_edges(s)) == 4 and len(s.edges) == 12]
     assert blocks
 
 
@@ -426,6 +430,26 @@ def test_cheeger_interval_values():
     assert abs(hi - math.pi ** 2 / 6) < 1e-12
 
 
+@pytest.mark.parametrize("alpha,ell_min", [
+    (Fraction(10**400), Fraction(10**399)),        # float(alpha) overflows
+    (Fraction(1, 10**300), Fraction(1, 10**400)),  # float(ell_min) is 0.0
+    (Fraction(10**300), Fraction(10**310)),        # float(ell_min) overflows
+    (Fraction(1, 10**400), Fraction(10**400)),     # below the least positive float
+    (Fraction(1), Fraction(1, 10**400)),           # above the largest float: inf
+])
+def test_cheeger_upper_outside_float_range(alpha, ell_min):
+    # the exact alpha / (2 ell_min) (355/113)^2, rounded up to the next float
+    exact = alpha / (2 * ell_min) * Fraction(355, 113) ** 2
+    lo, hi = cheeger_interval(alpha, ell_min)
+    assert lo == alpha * alpha / 4
+    assert type(hi) is float
+    if hi == math.inf:
+        assert exact > Fraction(sys.float_info.max)
+    else:
+        assert Fraction(hi) >= exact > Fraction(math.nextafter(hi, -math.inf))
+    assert exact > Fraction(math.pi ** 2) * alpha / (2 * ell_min)
+
+
 def test_cheeger_rejects_bad_ell_min():
     from isotess.errors import NonPositiveEllMin
     with pytest.raises(NonPositiveEllMin):
@@ -446,8 +470,7 @@ def test_equilateral_transform():
 
 def test_estvol_bound_for_declared_finite_measure():
     g = build_graph(gen_pq_ball(PQParams(3, math.inf), 2))
-    bounds = {b.provenance: b for b in
-              lower_bounds(g, total_measure=Fraction(10), include_est01=False)}
+    bounds = {b.provenance: b for b in lower_bounds(g, total_measure=Fraction(10))}
     assert bounds["estvol_lower"].value == Fraction(1, 5)
     assert bounds["estvol_lower"].certified
 

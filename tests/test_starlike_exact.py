@@ -1,7 +1,7 @@
 """Differential check of the star-like pass against plain Fraction formulas.
 
-``_reference_subgraph_stats`` computes a selection's boundary, boundary
-degree, measure and interior the straightforward way: one walk over the
+``_reference_subgraph_stats`` computes a selection's interior vertices,
+boundary degree and measure the straightforward way: one walk over the
 selected edges and one Fraction addition per edge length.
 ``_reference_est01`` averages c(e)|e| over each selection with one
 Fraction operation per term and takes the minimum of the averages.
@@ -43,7 +43,7 @@ SELECTIONS_PER_GRAPH = 40
 # ---------------------------------------------------------------------------
 
 def _reference_subgraph_stats(g, edge_ids) -> SubgraphSelection:
-    edges = frozenset(int(e) for e in edge_ids)
+    edges = frozenset(edge_ids)
     if not edges:
         raise DisconnectedSelection("empty selection")
     for e in edges:
@@ -79,14 +79,12 @@ def _reference_subgraph_stats(g, edge_ids) -> SubgraphSelection:
         if d < td:
             boundary.add(v)
             boundary_degree += d
-    interior = vertices - boundary
     measure = Fraction(0)
     for e in edges:
         measure += g.length[e]
     return SubgraphSelection(
-        edges=edges, vertices=vertices, boundary=frozenset(boundary),
-        boundary_degree=boundary_degree, measure=measure, interior_vertices=interior,
-        interior_edges=frozenset(e for e in edges if set(g.edge_ends[e]) <= interior))
+        edges=edges, interior_vertices=vertices - boundary,
+        boundary_degree=boundary_degree, measure=measure)
 
 
 def _reference_est01(g, report, selections):
