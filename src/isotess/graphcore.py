@@ -23,12 +23,14 @@ entry.  The rotation check is folded into the face-successor map: every
 rotation is a permutation of its vertex's incident edges exactly when each
 entry is an edge at that vertex and the map holds 2|E| distinct darts, one
 per entry.  Incident sets are built only when that fails, to name the
-first bad vertex.  The faces are walked by popping the map, and each
-bounded tile's perimeter is summed over integer length parts, one Fraction
-per distinct multiset of boundary lengths.  On the four build-curvature
-benchmark inputs (2k to 10k edges) one build of each takes 0.46 s, against
-0.65 s for the per-entry builder it replaced (traced bench spans, Python
-3.11.7, 2 shared CPUs).
+first bad vertex.  The faces are walked by popping the map, which
+records each dart's tile as it pops the dart, and each bounded tile's
+perimeter is summed over integer length parts, one Fraction per distinct
+multiset of boundary lengths.  On the four build-curvature benchmark
+inputs (2k to 10k edges), each freshly parsed, one build of each takes
+0.10 to 0.12 s with the cyclic garbage collector paused, as the ``isotess``
+commands run it, and 0.15 to 0.19 s with the collector on (minimum of 15
+runs, Python 3.11.7, 2 shared CPUs).
 
 Closure and classification of a selection need the bounded faces of its
 interior graph H (``_bounded_faces``).  When H is connected, as it is for
@@ -217,27 +219,32 @@ def _successors(rotation: Mapping[int, Sequence[int]],
     return succ if len(succ) == n == sum(map(len, rotation.values())) else None
 
 
-def _orbits(succ: dict[Dart, Dart],
-            edge_ends: Mapping[int, tuple[int, int]]) -> list[list[Dart]]:
-    """The orbits of the successor map ``succ``, which this empties.
+def _orbits(succ: dict[Dart, Dart], edge_ends: Mapping[int, tuple[int, int]]
+            ) -> tuple[list[list[Dart]], dict[Dart, int]]:
+    """The orbits of the successor map ``succ``, which this empties, and the
+    index of each dart's orbit.
 
     Darts are tried as starts by edge id, then head; an orbit is popped
     from ``succ`` dart by dart until it closes at its start, so each orbit
     starts at its smallest dart and the orbits come in the order of those
-    starts.
+    starts.  Each dart's index is recorded as it is popped.
     """
     faces: list[list[Dart]] = []
+    index: dict[Dart, int] = {}
     for e in sorted(edge_ends):
         a, b = edge_ends[e]
         for d in ((e, a), (e, b)) if a < b else ((e, b), (e, a)):
             if d in succ:
+                idx = len(faces)
                 cycle = [d]
+                index[d] = idx
                 nxt = succ.pop(d)
                 while nxt != d:
                     cycle.append(nxt)
+                    index[nxt] = idx
                     nxt = succ.pop(nxt)
                 faces.append(cycle)
-    return faces
+    return faces, index
 
 
 def trace_faces(rotation: Mapping[int, Sequence[int]],
@@ -253,7 +260,7 @@ def trace_faces(rotation: Mapping[int, Sequence[int]],
     succ = _successors(rotation, edge_ends)
     if succ is None:
         raise MalformedRotation("a rotation is not a permutation of its vertex's edges")
-    return _orbits(succ, edge_ends)
+    return _orbits(succ, edge_ends)[0]
 
 
 def _reach(start: int, rotation: Mapping[int, Iterable[int]],
@@ -441,11 +448,7 @@ def build_graph(record: Mapping) -> MetricGraph:
                 f"vertex {v}: true degree {td} != visible degree {visible}")
         true_degree[v] = td
 
-    cycles = _orbits(succ, edge_ends)
-    dart_tile: dict[Dart, int] = {}
-    for idx, cycle in enumerate(cycles):
-        for d in cycle:
-            dart_tile[d] = idx
+    cycles, dart_tile = _orbits(succ, edge_ends)
 
     unbounded_faces: set[int] = set()
     for eid, head in face_reps:

@@ -599,9 +599,10 @@ def cheeger_interval(alpha: Fraction | float, ell_min: Fraction
     """(alpha^2/4, pi^2 alpha / (2 ell_min)): the lambda_0 bracket.
 
     The upper end is the float expression below.  Where that raises, alpha
-    or ell_min being outside the float range, it is the exact
-    alpha / (2 ell_min) times (355/113)^2 > pi^2, rounded up to a float:
-    ``inf`` beyond the largest one.
+    or ell_min being outside the float range, or gives less than the least
+    normal float for a positive alpha, it is the exact alpha / (2 ell_min)
+    times (355/113)^2 > pi^2, rounded up to a float: ``inf`` beyond the
+    largest one.
     """
     if ell_min <= 0:
         raise NonPositiveEllMin(f"ell_min = {ell_min}")
@@ -611,6 +612,8 @@ def cheeger_interval(alpha: Fraction | float, ell_min: Fraction
     try:
         upper = math.pi ** 2 * float(alpha) / (2 * float(ell_min))
     except (OverflowError, ZeroDivisionError):
+        upper = None
+    if upper is None or (alpha > 0 and upper < sys.float_info.min):
         exact = Fraction(alpha) / (2 * ell_min) * Fraction(355, 113) ** 2
         upper = float(exact) if exact <= sys.float_info.max else INF
         if upper < exact:

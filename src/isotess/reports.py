@@ -6,9 +6,11 @@ The canonical form is defined once, by :func:`isotess.interchange.canonical_json
 from __future__ import annotations
 
 import hashlib
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+from .errors import OutOfRange
 from .interchange import canonical_json
 from .isoperimetry import AlphaBracket, Bound
 from .rational import format_extended
@@ -17,13 +19,21 @@ SCHEMA_VERSION = 1
 
 
 def value_json(x) -> str | float | None:
-    """Fractions and infinities as strings, floats as floats."""
-    if x is None or isinstance(x, Fraction):
-        return format_extended(x)
+    """Fractions and infinities as strings, floats as floats.
+
+    OutOfRange for a value with more digits than Python writes
+    (``sys.get_int_max_str_digits()``).
+    """
+    try:
+        if x is None or isinstance(x, Fraction):
+            return format_extended(x)
+        if isinstance(x, int):
+            return str(x)
+    except ValueError:
+        raise OutOfRange(f"a report value has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if isinstance(x, float):
         return format_extended(x) if x == float("inf") else x
-    if isinstance(x, int):
-        return str(x)
     raise TypeError(f"unexpected value {x!r}")
 
 

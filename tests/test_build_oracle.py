@@ -1,10 +1,11 @@
 """``build_graph`` and ``trace_faces`` against the plain builder they replaced.
 
 The builder checks ids and rotation entries in bulk, folds the rotation
-check into the face-successor map and walks the faces by popping that map.
-The straightforward builder it replaced is kept below as an oracle: one
-``_int`` per id, an incident-set check per vertex, a tracer with a ``seen``
-set and a Fraction sum per tile.  On family balls and on seeded random
+check into the face-successor map and walks the faces by popping that map,
+recording each dart's face as it goes.  The straightforward builder it
+replaced is kept below as an oracle: one ``_int`` per id, an incident-set
+check per vertex, a tracer with a ``seen`` set, a second pass for each
+dart's face and a Fraction sum per tile.  On family balls and on seeded random
 tessellations (``bench/inputs.py::random_tessellation`` through the
 conftest fixture) both must build equal graphs, and on records with one
 fault each both must raise the same exception class with the same message.
@@ -33,7 +34,9 @@ from isotess.graphcore import (
     UNBOUNDED,
     MetricGraph,
     Tile,
+    _orbits,
     _reach,
+    _successors,
     build_graph,
     trace_faces,
 )
@@ -47,6 +50,25 @@ SEEDS = [f"build:{i}" for i in range(30)]
 # ---------------------------------------------------------------------------
 # the oracle: the builder and tracer as they were before the dart pass
 # ---------------------------------------------------------------------------
+
+def _two_pass_dart_tile(cycles):
+    """Each dart's face index, in a second pass over the traced faces."""
+    dart_tile = {}
+    for idx, cycle in enumerate(cycles):
+        for d in cycle:
+            dart_tile[d] = idx
+    return dart_tile
+
+
+def _assert_same_orbits(rotation, edge_ends, label):
+    # the one-pass walk's dart -> face map equals the two-pass map, in the
+    # same order, and its faces equal the oracle tracer's
+    cycles = _oracle_trace_faces(rotation, edge_ends)
+    faces, dart_tile = _orbits(_successors(rotation, edge_ends), edge_ends)
+    assert faces == cycles, label
+    assert list(dart_tile.items()) == list(_two_pass_dart_tile(cycles).items()), label
+    assert trace_faces(rotation, edge_ends) == cycles, label
+
 
 def _oracle_trace_faces(rotation, edge_ends):
     succ_edge = {}
@@ -170,10 +192,7 @@ def _oracle_build_graph(record) -> MetricGraph:
             true_degree[v] = visible if v not in frontier else None
 
     cycles = _oracle_trace_faces(rotation, edge_ends)
-    dart_tile = {}
-    for idx, cycle in enumerate(cycles):
-        for d in cycle:
-            dart_tile[d] = idx
+    dart_tile = _two_pass_dart_tile(cycles)
 
     unbounded_faces = set()
     for eid, head in face_reps:
@@ -226,6 +245,7 @@ def _assert_same_build(record, label) -> MetricGraph:
     for name in want_fields:
         assert got_fields[name] == want_fields[name], (label, name)
     assert list(got.true_degree) == list(want.true_degree), label
+    assert list(got.dart_tile.items()) == list(want.dart_tile.items()), label
     assert all(type(t.perimeter) is type(u.perimeter)
                for t, u in zip(got.tiles, want.tiles)), label
     return got
@@ -248,8 +268,7 @@ FAMILY_RECORDS = {
 def test_family_builds_match_oracle(name):
     record = FAMILY_RECORDS[name]()
     g = _assert_same_build(record, name)
-    assert trace_faces(g.rotation, g.edge_ends) \
-        == _oracle_trace_faces(g.rotation, g.edge_ends), name
+    _assert_same_orbits(g.rotation, g.edge_ends, name)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -277,7 +296,8 @@ def test_random_builds_match_oracle(random_tessellation, seed):
     inside = set(rng.sample(g.vertices, rng.randint(1, len(g.vertices))))
     rot = {v: [e for e in g.rotation[v] if set(g.edge_ends[e]) <= inside] for v in inside}
     ends = {e: g.edge_ends[e] for r in rot.values() for e in r}
-    assert trace_faces(rot, ends) == _oracle_trace_faces(rot, ends), seed
+    _assert_same_orbits(g.rotation, g.edge_ends, seed)
+    _assert_same_orbits(rot, ends, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI behaviour: reports, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from isotess import cli
 from isotess.cli import main
 from isotess.interchange import canonical_json, save
 from isotess.rational import parse_rational
@@ -319,6 +321,134 @@ def test_lengths_outside_float_range(tmp_path, capsys, lengths):
             bracket = result["alpha"] if command == "compare" else result
             assert bracket["cheeger"]["lambda0_upper"] == 0.0
             assert bracket["cheeger"]["ell_min"] == str(parse_rational(length))
+
+
+def test_report_value_digit_limit(tmp_path, capsys):
+    # each length has 1,401 digits, but the vertex weights and characteristic
+    # values sum reciprocals over the lcm of several of them: a report value
+    # Python could not write is a failed precondition (exit 2)
+    record = k4_record()
+    for item, k in zip(record["edges"], (1, 3, 7, 9, 13, 19)):
+        item["length"] = f"1/{10**1400 + k}"
+    path = tmp_path / "k4.json"
+    save(record, path)
+    for command, code in (("validate", 0), ("faces", 0), ("gauss-bonnet", 0),
+                          ("comb-alpha", 0), ("curvature", 2), ("bounds", 2),
+                          ("alpha", 2), ("compare", 2)):
+        assert run([command, str(path)]) == code, command
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err, command
+        if code == 2:
+            assert "OutOfRange" in err and not out, command
+
+
+@pytest.mark.parametrize("length", ["1e-400", "1/2", "2"])
+def test_lengths_outside_family_certified_range(tmp_path, capsys, length):
+    # the pq(7,3) closed forms and the certified ell_min = ell_star = 1 hold
+    # only for unit lengths: commands that report them refuse the record
+    path = tmp_path / "pq73r2.json"
+    assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", "2",
+                "--output", str(path)]) == 0
+    record = read(path)
+    record["edges"][3]["length"] = length
+    save(record, path)
+    for command, code in (("validate", 0), ("faces", 0), ("curvature", 0),
+                          ("gauss-bonnet", 2), ("comb-alpha", 0), ("bounds", 4),
+                          ("alpha", 4), ("compare", 4)):
+        assert run([command, str(path), "--budget-edges", "2"]
+                   if command in ("bounds", "alpha", "comb-alpha", "compare")
+                   else [command, str(path)]) == code, command
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, command
+        if code == 4:
+            assert "ell_" in err, command
+
+
+def _argv_with_exit(tmp_path, code):
+    graph = tmp_path / "pq73r2.json"
+    if not graph.exists():
+        assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", "2",
+                    "--output", str(graph)]) == 0
+    return {
+        0: ["faces", str(graph)],
+        2: ["gauss-bonnet", str(graph)],
+        3: ["alpha", str(graph), "--max-yield", "10"],
+        4: ["faces", str(tmp_path / "missing.json")],
+    }[code]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_main_restores_collector_state(tmp_path, capsys, enabled, code):
+    argv = _argv_with_exit(tmp_path, code)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_collector_state_on_error(tmp_path, capsys, monkeypatch,
+                                                enabled):
+    # also when the command raises past main, and when argparse exits
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_witness", boom)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError):
+            run(["witness", "--k", "3", "--l", "2"])
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            run(["faces"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def _cyclic_garbage(argv) -> tuple[int, int]:
+    """(exit code, objects a collection finds after ``main(argv)``), with the
+    collector off for the call, as a caller that disabled it would see."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code = run(argv)
+        return code, gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_paused_commands_leave_no_input_sized_cycles(tmp_path, capsys):
+    # with collection paused for the command, the garbage it leaves in
+    # cycles does not grow with the input: only the argparse parser
+    small, large = tmp_path / "k4.json", tmp_path / "pq73r4.json"
+    save(k4_record(), small)
+    assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", "4",
+                "--output", str(large)]) == 0
+    _cyclic_garbage(["faces", str(small)])  # first-call caches
+    counts = {_cyclic_garbage(["faces", str(path)]) for path in (small, large)}
+    capsys.readouterr()
+    assert len(counts) == 1 and next(iter(counts))[0] == 0, counts
+
+
+def test_paused_alpha_leaves_no_scan_sized_cycles(tmp_path, capsys):
+    path = tmp_path / "pq73r2.json"
+    assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", "2",
+                "--output", str(path)]) == 0
+    argv = ["alpha", str(path), "--budget-edges"]
+    _cyclic_garbage(argv + ["2"])  # first-call caches
+    counts = {_cyclic_garbage(argv + [budget]) for budget in ("2", "6")}
+    capsys.readouterr()
+    assert len(counts) == 1 and next(iter(counts))[0] == 0, counts
 
 
 def test_gen_roundtrip_validates(tmp_path, capsys):

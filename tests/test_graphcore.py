@@ -1,5 +1,6 @@
 """Graph model: construction, face tracing, validation, subgraph bookkeeping."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from isotess.errors import (
 )
 from isotess.families import PQParams, gen_pq_ball
 from isotess.graphcore import (
+    Tile,
     build_graph,
     classify_subgraph,
     complete_closure,
@@ -56,6 +58,22 @@ def test_k4_faces_and_validation(k4):
     assert validate_tessellation(k4, "finite").valid
     # Euler formula
     assert len(k4.vertices) - len(k4.edges) + len(k4.tiles) == 2
+
+
+def test_tiles_frozen_equal_and_hashable(k4):
+    # two builds of one record give equal tiles with equal hashes; a tile
+    # takes no assignment and is a field-wise value
+    again = build_graph(TRIANGLE)
+    first = build_graph(TRIANGLE)
+    assert first.tiles == again.tiles
+    assert [hash(t) for t in first.tiles] == [hash(t) for t in again.tiles]
+    assert len(set(first.tiles) | set(again.tiles)) == len(first.tiles)
+    tile = k4.tiles[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tile.degree = 0
+    assert dataclasses.is_dataclass(tile) and type(tile) is Tile
+    assert tile == Tile(*(getattr(tile, f.name) for f in dataclasses.fields(Tile)))
+    assert tile != dataclasses.replace(tile, status="indeterminate")
 
 
 def test_every_dart_in_exactly_one_face(k4):

@@ -436,6 +436,8 @@ def test_cheeger_interval_values():
     (Fraction(10**300), Fraction(10**310)),        # float(ell_min) overflows
     (Fraction(1, 10**400), Fraction(10**400)),     # below the least positive float
     (Fraction(1), Fraction(1, 10**400)),           # above the largest float: inf
+    (Fraction(1, 10**400), Fraction(1)),           # float expression gives 0.0
+    (Fraction(1, 10**300), Fraction(10**10)),      # float expression is subnormal
 ])
 def test_cheeger_upper_outside_float_range(alpha, ell_min):
     # the exact alpha / (2 ell_min) (355/113)^2, rounded up to the next float
@@ -448,6 +450,17 @@ def test_cheeger_upper_outside_float_range(alpha, ell_min):
     else:
         assert Fraction(hi) >= exact > Fraction(math.nextafter(hi, -math.inf))
     assert exact > Fraction(math.pi ** 2) * alpha / (2 * ell_min)
+
+
+@pytest.mark.parametrize("alpha,ell_min", [
+    (Fraction(1, 2), Fraction(1)),
+    (Fraction(0), Fraction(3)),
+    (0.4842034473862967, Fraction(1)),
+    (Fraction(1, 10**300), Fraction(1, 10**5)),
+])
+def test_cheeger_upper_in_float_range_keeps_float_expression(alpha, ell_min):
+    assert cheeger_interval(alpha, ell_min)[1] \
+        == math.pi ** 2 * float(alpha) / (2 * float(ell_min))
 
 
 def test_cheeger_rejects_bad_ell_min():
