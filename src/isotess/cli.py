@@ -14,10 +14,10 @@ budgets produce byte-identical reports.
 restores the caller's setting afterwards.  Reference counting frees what a
 command builds, so the collections that the build's many tuples,
 frozensets and Fractions trigger reclaim nothing; on large inputs they took
-about a third of the parse/build time.  A command leaves few cycles: the
-argparse parser, and where generator sets are enumerated the list of
-them, which the enumeration closure holds in a cycle; the first collection
-after the command frees them.
+about a third of the parse/build time.  A command leaves one cycle
+whatever its input, the argparse parser, which the first collection after
+the command frees: each enumeration breaks its closure's cycle as it
+returns, so its closures and the generator sets they hold go at once.
 
 Exit codes: 0 success, 2 validation violations / failed preconditions /
 usage errors, 3 enumeration budget exhausted (a hit ``--max-yield`` and
@@ -93,12 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=("auto", "finite", "truncation"),
                            default="auto")
         if name in _BUDGETED:
-            p.add_argument("--budget-edges", type=_positive_int, default=6,
-                           metavar="N")
-            p.add_argument("--budget-generators", type=_positive_int, default=4,
-                           metavar="N")
-            p.add_argument("--max-yield", type=_positive_int, default=2_000_000,
-                           metavar="N")
+            p.add_argument("--budget-edges", type=_positive_int,
+                           default=Budget.max_edges, metavar="N")
+            p.add_argument("--budget-generators", type=_positive_int,
+                           default=Budget.max_generators, metavar="N")
+            p.add_argument("--max-yield", type=_positive_int,
+                           default=Budget.max_yield, metavar="N")
             p.add_argument("--tolerance", type=float, default=1e-12, metavar="X")
         if name in _WORKERS:
             p.add_argument("--workers", type=_positive_int, default=1, metavar="N",

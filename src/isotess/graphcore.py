@@ -33,19 +33,18 @@ commands run it, and 0.15 to 0.19 s with the collector on (minimum of 15
 runs, Python 3.11.7, 2 shared CPUs).
 
 Closure and classification of a selection need the bounded faces of its
-interior graph H (``_bounded_faces``).  When H is connected, as it is for
-every star-like selection, they cost O(|H| log |H| + size of the bounded
-faces): H's faces are traced with the rotation restricted to H, and only the
-faces that are not single tiles are flooded, in lock-step, until the
-outer face is the one left.  The full flood over every tile, O(|G|), runs
-only when H is empty or disconnected, when no tile of the graph is
-unbounded or indeterminate, or when an enclosed face reaches such a tile
-(a frontier pocket).
+interior graph H (``_bounded_faces``).  They cost O(|H|) when every bounded
+face of H is a single tile, which holds for every call on the benchmark's
+family balls: the tiles whose darts all lie on H are counted, and when
+Euler's formula says H has exactly one other face, that face is the outer
+one.  Otherwise every tile of the graph is flooded, O(|G|): when H is
+empty or disconnected, when no tile of the graph is unbounded or
+indeterminate, or when H encloses a face that is not a single tile.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -605,118 +604,12 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
     return SubgraphSelection(edges, frozenset(interior), boundary_degree, measure)
 
 
-def _interior_faces(g: MetricGraph, inner: frozenset[int]):
-    """Faces of the graph H induced on ``inner``; None when H is empty or disconnected.
+def _flood_faces(g: MetricGraph, inner: frozenset[int]):
+    """:func:`_bounded_faces` by flooding every tile of the graph, O(|G|).
 
-    The faces are traced by :func:`trace_faces` with the ambient rotation
-    restricted to H, in O(|H| log |H|), |H| the sum of the degrees over
-    ``inner``: the tracer sorts H's edges.  Returns ``(singles, others)``:
-    the tiles whose dart cycle is a whole face cycle of H, and for every
-    other face the set of tiles beside its darts.  A single vertex has one
-    face, seeded with the tiles around it.
+    Tiles lie in one face of H when crossings of edges outside H join them.
     """
-    if not inner:
-        return None
-    ends = g.edge_ends
-    rot = {v: [e for e in g.rotation[v] if ends[e][0] in inner and ends[e][1] in inner]
-           for v in inner}
-    v0 = next(iter(inner))
-    if len(_reach(v0, rot, ends)) != len(inner):
-        return None
-    if not rot[v0]:
-        return [], [{g.dart_tile[(e, v0)] for e in g.rotation[v0]}]
-
-    singles: list[int] = []
-    others: list[set[int]] = []
-    for cycle in trace_faces(rot, {e: ends[e] for r in rot.values() for e in r}):
-        t = g.dart_tile[cycle[0]]
-        face = {g.dart_tile[d] for d in cycle}
-        if face == {t} and len(g.tiles[t].cycle) == len(cycle):
-            singles.append(t)
-        else:
-            others.append(face)
-    return singles, others
-
-
-def _lockstep(g: MetricGraph, faces: list[set[int]], across) -> list[list[int]] | None:
-    """Flood the tiles of each face one tile per face per turn, until one is left.
-
-    This is the parallel search of Even and Shiloach (J. ACM 1981): the
-    floods stop when all but one have finished, so the cost is at most the
-    number of faces times the size of the largest finished one.  Returns
-    the tile lists of the finished faces, or None when one of them holds a
-    tile that is not bounded, or when two floods meet (possible only on a
-    rotation system that is not planar).
-    """
-    owner: dict[int, int] = {}
-    groups: list[list[int]] = []
-    for i, face in enumerate(faces):
-        for t in face:
-            if owner.setdefault(t, i) != i:
-                return None
-        groups.append(list(face))
-    done: list[list[int]] = []
-    expanded = [0] * len(groups)
-    live = deque(range(len(groups)))
-    while len(live) > 1:
-        i = live.popleft()
-        group = groups[i]
-        for u in across(group[expanded[i]]):
-            if u not in owner:
-                owner[u] = i
-                group.append(u)
-            elif owner[u] != i:
-                return None
-        expanded[i] += 1
-        if expanded[i] < len(group):
-            live.append(i)
-        elif any(g.tiles[t].status != BOUNDED for t in group):
-            return None
-        else:
-            done.append(group)
-    return done
-
-
-def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
-    """Bounded faces of the interior graph H, as groups of ambient tiles.
-
-    H is the graph induced on ``interior_vertices``; every edge of H is
-    selected, since an interior vertex has its whole star selected.  The
-    tiles inside one face of H are those joined by crossing edges outside
-    H.  Returns ``(groups, ambiguous)``: the tile-index lists of the faces
-    with only bounded tiles, and whether more than one face touches
-    indeterminate data (so the outer face cannot be identified).
-
-    Cost: O(|H| log |H| + size of the bounded faces) when H is connected,
-    which it is for every star-like selection.  A face of H whose dart cycle
-    is one tile's cycle is that tile, with no flooding.  If all faces but
-    one are such bounded tiles and the graph has a tile that is not bounded,
-    the remaining face is the outer one; otherwise the tiles of the
-    remaining faces are flooded in lock-step until one face is left, which
-    is the outer one.  The full flood over every tile of the graph, O(|G|),
-    runs when these rules cannot settle the answer: H is empty or
-    disconnected, every tile of the graph is bounded, a face that is a
-    single tile is not bounded, or a finished flood reaches a tile that is
-    not bounded.
-    """
-    inner = interior_vertices
     ends, tiles, dart_tile = g.edge_ends, g.tiles, g.dart_tile
-
-    def across(t: int):
-        """The tiles beside tile ``t`` across its edges outside H."""
-        for e, v in tiles[t].cycle:
-            a, b = ends[e]
-            if a not in inner or b not in inner:
-                yield dart_tile[(e, b if v == a else a)]
-
-    faces = _interior_faces(g, inner)
-    if faces is not None and g.has_open_tile:
-        singles, others = faces
-        if all(tiles[t].status == BOUNDED for t in singles):
-            done = _lockstep(g, others, across)
-            if done is not None:
-                return [[t] for t in singles] + done, False
-
     seen = [False] * len(tiles)
     groups: list[list[int]] = []
     indeterminate = 0
@@ -726,15 +619,54 @@ def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
         seen[root] = True
         group = [root]
         for t in group:
-            for u in across(t):
-                if not seen[u]:
-                    seen[u] = True
-                    group.append(u)
+            for e, v in tiles[t].cycle:
+                a, b = ends[e]
+                if a not in inner or b not in inner:
+                    u = dart_tile[(e, b if v == a else a)]
+                    if not seen[u]:
+                        seen[u] = True
+                        group.append(u)
         statuses = {tiles[t].status for t in group}
         if statuses == {BOUNDED}:
             groups.append(group)
         indeterminate += INDETERMINATE in statuses
     return groups, indeterminate > 1
+
+
+def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
+    """Bounded faces of the interior graph H, as groups of ambient tiles.
+
+    H is the graph induced on ``interior_vertices``; every edge of H is
+    selected, since an interior vertex has its whole star selected.  The
+    tiles inside one face of H are those joined by crossing edges outside
+    H.  Returns ``(groups, ambiguous)``: the tile-index lists of the faces
+    with only bounded tiles, in the order of their smallest tiles, and
+    whether more than one face touches indeterminate data (so the outer
+    face cannot be identified).
+
+    Cost: O(|H|) when every bounded face of H is a single tile, which holds
+    on the family balls, and O(|G|) otherwise.  A tile whose darts all lie
+    on H is a face of H by itself.  By Euler's formula a connected H has
+    |E_H| - |V_H| + 2 - 2g faces for some genus g >= 0, so when such tiles
+    number |E_H| - |V_H| + 1 and are all bounded, g = 0 and H has exactly
+    one other face.  Every other tile lies in it, so when the graph has a
+    tile that is not bounded, that face is not bounded, and the answer is
+    those tiles.  Every other case (H empty or disconnected, no tile that
+    is not bounded, a count that does not match) floods every tile
+    (:func:`_flood_faces`).
+    """
+    inner = interior_vertices
+    if inner and g.has_open_tile:
+        ends, tiles = g.edge_ends, g.tiles
+        darts = [(e, v) for v in inner for e in g.rotation[v]
+                 if ends[e][0] in inner and ends[e][1] in inner]
+        counts = Counter(map(g.dart_tile.__getitem__, darts))
+        singles = sorted(t for t, n in counts.items() if n == len(tiles[t].cycle))
+        if 2 * len(singles) == len(darts) - 2 * len(inner) + 2 \
+                and all(tiles[t].status == BOUNDED for t in singles) \
+                and len(_reach(next(iter(inner)), g.rotation, ends, inner)) == len(inner):
+            return [[t] for t in singles], False
+    return _flood_faces(g, inner)
 
 
 def classify_subgraph(g: MetricGraph, sel: SubgraphSelection) -> tuple[bool, bool]:

@@ -86,7 +86,7 @@ def _exceeded(max_yield: int) -> BudgetExceeded:
 
 def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
          push: Callable[[int], None], pop: Callable[[int], None],
-         emit: Callable[[list[int], Sequence[int], int], None],
+         emit: Callable[[list[int], Sequence[int]], None],
          max_yield: int,
          skip: Callable[[list[int], int], bool] | None = None) -> int:
     """Visit every connected node set of size <= max_size exactly once.
@@ -95,21 +95,20 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
     grown from its smallest node by canonical augmentation (Wernicke's
     ESU), so the visiting order is fixed by the input alone.
 
-    ``emit(stack, cands, index)`` visits the sets ``stack + [j]`` for the
-    nodes j of ``cands`` in order, as sets ``index``, ``index + 1``, ...;
-    ``stack`` is the current node list (do not keep it; an emit may append
-    to it if it pops again).  ``push`` and ``pop`` keep the caller's
-    running statistics as a node enters and leaves ``stack``, so an emit
-    reads the statistics of ``stack`` and adds j's share.
+    ``emit(stack, cands)`` visits the sets ``stack + [j]`` for the nodes j
+    of ``cands`` in order; ``stack`` is the current node list (do not keep
+    it; an emit may append to it if it pops again).  ``push`` and ``pop``
+    keep the caller's running statistics as a node enters and leaves
+    ``stack``, so an emit reads the statistics of ``stack`` and adds j's
+    share.
 
     ``skip(stack, j)``, when given, is asked once per set ``stack + [j]``
     of max_size - 1 nodes, right after that set is visited: True means
     the caller needs none of its extensions, the sets at the size limit
     grown from it.  They are then counted, and the ``max_yield`` check
     runs on them as if they were emitted, but j is not pushed and no emit
-    is called for them.  The hook removes visits only: the count, the
-    index of every set and the order of the visits that remain are the
-    same as without it.
+    is called for them.  The hook removes visits only: the count and the
+    order of the visits that remain are the same as without it.
 
     Cost: only sets that can still grow are pushed.  Each set of fewer
     than max_size nodes gets its own emit call, one push and one pop, in
@@ -128,7 +127,7 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
         nonlocal count
         if count + len(cands) > max_yield:
             raise _exceeded(max_yield)
-        emit(stack, cands, count)
+        emit(stack, cands)
         count += len(cands)
 
     def skipped(j: int, later: int) -> bool:
@@ -167,15 +166,20 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
         pop(i)
         stack.pop()
 
-    if max_size <= 1:
-        batch(range(len(nbrs)))
-        return count
-    last = skip is not None and max_size == 2
-    for r in range(len(nbrs)):
-        touched[r] = 1  # r stays touched: later roots never revisit it
-        batch((r,))
-        if not (last and skipped(r, 0)):
-            extend(r, [])
+    try:
+        if max_size <= 1:
+            batch(range(len(nbrs)))
+            return count
+        last = skip is not None and max_size == 2
+        for r in range(len(nbrs)):
+            touched[r] = 1  # r stays touched: later roots never revisit it
+            batch((r,))
+            if not (last and skipped(r, 0)):
+                extend(r, [])
+    finally:
+        # extend refers to itself through its cell: without this the scan's
+        # closures, and whatever the callbacks hold, live until a collection
+        del extend
     return count
 
 
@@ -194,12 +198,12 @@ def length_scale(g: MetricGraph, edge_ids: Iterable[int]) -> int:
 
 def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
                                 eligible_edges: Iterable[int] | None = None,
-                                max_yield: int = 2_000_000, *,
+                                max_yield: int = Budget.max_yield, *,
                                 _hopeless: Callable[[int, int, int], bool] | None = None
                                 ) -> int:
     """Visitor-style scan for callers that cannot afford materialized sets.
 
-    ``visit(stack, boundary_degree, measure, index)`` runs once per
+    ``visit(stack, boundary_degree, measure)`` runs once per
     connected subset, where ``stack`` holds indices into the sorted
     eligible edge list (translate via its order when edge ids are needed).
     ``measure`` is an int in units of 1/L, L = ``length_scale(g, eligible
@@ -221,8 +225,8 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
     limit; before a set of max_edges - 1 edges is pushed, ``_esu``'s
     ``skip`` checks it for that set's leaves, so a skipped leaf batch costs
     no push, pop or emit.  Skipped sets still count, and the sets that are
-    visited come in the same order, so the return value, the indices and
-    the ``max_yield`` boundary do not depend on the hook.
+    visited come in the same order, so the return value and the
+    ``max_yield`` boundary do not depend on the hook.
     """
     edge_ids = sorted(eligible_edges if eligible_edges is not None
                       else g.frontier_free_edges())
@@ -275,17 +279,17 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
 
     # the set stack + [j] has the statistics of push(j), read without
     # storing; the two ends differ, since build_graph rejects loops
-    def emit(stack: list[int], cands: Sequence[int], idx: int) -> None:
+    def emit(stack: list[int], cands: Sequence[int]) -> None:
         if not closers and stack and _hopeless is not None \
                 and _hopeless(stack[0], bd + gain, mes + top):
             return
         stack.append(-1)
-        for idx, j in enumerate(cands, idx):
+        for j in cands:
             a, b = ends[j]
             da, db = deg[a] + 1, deg[b] + 1
             stack[-1] = j
             visit(stack, bd + (1 if da < truedeg[a] else 1 - da)
-                  + (1 if db < truedeg[b] else 1 - db), mes + lengths[j], idx)
+                  + (1 if db < truedeg[b] else 1 - db), mes + lengths[j])
         stack.pop()
 
     # the leaves of stack + [j], from the statistics of push(j) read
@@ -310,7 +314,7 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
 
 
 def enumerate_connected_subgraphs(g: MetricGraph, max_edges: int,
-                                  max_yield: int = 2_000_000,
+                                  max_yield: int = Budget.max_yield,
                                   eligible_edges: Iterable[int] | None = None):
     """Every connected edge subset of size <= max_edges, exactly once.
 
@@ -321,7 +325,7 @@ def enumerate_connected_subgraphs(g: MetricGraph, max_edges: int,
                       else g.frontier_free_edges())
     out: list[tuple[int, ...]] = []
 
-    def visit(stack, bd, mes, idx):
+    def visit(stack, bd, mes):
         out.append(tuple(sorted(edge_ids[i] for i in stack)))
 
     scan_connected_edge_subsets(g, max_edges, visit, edge_ids, max_yield)
@@ -333,7 +337,7 @@ def _scan_connected_vertex_sets(g: MetricGraph, vertex_ids: Sequence[int],
                                 max_yield: int) -> int:
     """ESU scan over connected sets of the sorted ``vertex_ids``.
 
-    ``visit(stack, boundary_edges, degree_sum, index)`` runs once per set;
+    ``visit(stack, boundary_edges, degree_sum)`` runs once per set;
     ``stack`` holds indices into ``vertex_ids``.
     """
     vidx = {v: i for i, v in enumerate(vertex_ids)}
@@ -358,13 +362,13 @@ def _scan_connected_vertex_sets(g: MetricGraph, vertex_ids: Sequence[int],
         sumdeg -= truedeg[i]
         internal -= sum(in_set[j] for j in nbrs[i])
 
-    def emit(stack: list[int], cands: Sequence[int], idx: int) -> None:
+    def emit(stack: list[int], cands: Sequence[int]) -> None:
         stack.append(-1)
-        for idx, j in enumerate(cands, idx):
+        for j in cands:
             total = sumdeg + truedeg[j]
             stack[-1] = j
             visit(stack, total - 2 * (internal + sum([in_set[k] for k in nbrs[j]])),
-                  total, idx)
+                  total)
         stack.pop()
 
     return _esu(nbrs, max_size, push, pop, emit, max_yield)
@@ -376,7 +380,7 @@ def _scan_connected_vertex_sets(g: MetricGraph, vertex_ids: Sequence[int],
 
 def enumerate_starlike_complete(g: MetricGraph, max_generators: int,
                                 generators_from: Iterable[int] | None = None,
-                                max_yield: int = 2_000_000
+                                max_yield: int = Budget.max_yield
                                 ) -> tuple[list[SubgraphSelection], int]:
     """All star-like complete subgraphs from <= max_generators generators.
 
@@ -389,7 +393,7 @@ def enumerate_starlike_complete(g: MetricGraph, max_generators: int,
                         else g.frontier_free_vertices())
     vertex_sets: list[tuple[int, ...]] = []
 
-    def visit(stack, cut, sumdeg, idx):
+    def visit(stack, cut, sumdeg):
         vertex_sets.append(tuple(vertex_ids[i] for i in stack))
 
     _scan_connected_vertex_sets(g, vertex_ids, max_generators, visit, max_yield)
@@ -422,7 +426,7 @@ def _lex_min(scan: Callable[[Callable, Callable], int], ids: Sequence[int], what
     """(num, den, witness ids, count) of the smallest (num/den, sorted set).
 
     ``scan(visit, hopeless)`` runs an ESU scan calling ``visit(stack, num,
-    den, index)`` per set (den > 0), with no Fraction; ``skip_zero`` drops
+    den)`` per set (den > 0), with no Fraction; ``skip_zero`` drops
     num = 0.  ESU grows each set from its smallest index, ``stack[0]``,
     and visits roots in increasing order: a tie whose ``stack[0]`` exceeds
     the best's first index cannot give a smaller witness and is skipped
@@ -441,7 +445,7 @@ def _lex_min(scan: Callable[[Callable, Callable], int], ids: Sequence[int], what
     """
     best_num, best_den, best = 1, 0, None  # 1/0 is above every ratio
 
-    def visit(stack, num, den, index):
+    def visit(stack, num, den):
         nonlocal best_num, best_den, best
         left, right = num * best_den, best_num * den
         if left > right or (left == right and stack[0] > best[0]) \

@@ -271,7 +271,7 @@ def test_criterion_09_reduction_oracle():
         scale = length_scale(big, inside)  # the scan's mes is mes(S) * scale
         violations = []
 
-        def visit(stack, bd, mes, idx):
+        def visit(stack, bd, mes):
             # ratio(S) = bd * scale / mes >= floor  <=>  bd * scale * den >= num * mes
             if bd * scale * den < num * mes:
                 violations.append(tuple(stack))

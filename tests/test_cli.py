@@ -451,6 +451,23 @@ def test_paused_alpha_leaves_no_scan_sized_cycles(tmp_path, capsys):
     assert len(counts) == 1 and next(iter(counts))[0] == 0, counts
 
 
+@pytest.mark.parametrize("command", [
+    ["bounds"], ["alpha", "--budget-edges", "3"],
+    ["compare", "--budget-edges", "3"], ["comb-alpha"]])
+def test_paused_scans_leave_no_input_sized_cycles(tmp_path, capsys, command):
+    # a scan frees its closures and what they hold, such as the star-like
+    # pass's generator sets, when it returns, not at the next collection
+    paths = [tmp_path / f"pq73r{radius}.json" for radius in (2, 4)]
+    for radius, path in zip((2, 4), paths):
+        assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", str(radius),
+                    "--output", str(path)]) == 0
+    argvs = [[command[0], str(path), *command[1:]] for path in paths]
+    _cyclic_garbage(argvs[0])  # first-call caches
+    counts = {_cyclic_garbage(argv) for argv in argvs}
+    capsys.readouterr()
+    assert len(counts) == 1 and next(iter(counts))[0] == 0, counts
+
+
 def test_gen_roundtrip_validates(tmp_path, capsys):
     graph = tmp_path / "ball.json"
     run(["gen", "pq", "--p", "3", "--q", "6", "--radius", "3",

@@ -108,7 +108,7 @@ def test_scans_match_combinations(random_tessellation, seed):
     sets = []
     count = _scan_connected_vertex_sets(
         g, list(g.vertices), MAX_VERTICES,
-        lambda stack, cut, sumdeg, idx: sets.append(tuple(sorted(g.vertices[i] for i in stack))),
+        lambda stack, cut, sumdeg: sets.append(tuple(sorted(g.vertices[i] for i in stack))),
         max_yield=10**6)
     assert count == len(sets) == len(set(sets)), seed
     assert sorted(sets) == sorted(_naive_vertex_sets(g, MAX_VERTICES)), seed
@@ -166,9 +166,9 @@ def _recursive_esu(nbrs, max_size):
 
 
 def _recorded(scan):
-    """Every (stack, num, den, index) that ``scan(visit)`` visits, and its count."""
+    """Every (stack, num, den, position) that ``scan(visit)`` visits, and its count."""
     out = []
-    count = scan(lambda stack, num, den, idx: out.append((tuple(stack), num, den, idx)))
+    count = scan(lambda stack, num, den: out.append((tuple(stack), num, den, len(out))))
     return out, count
 
 
@@ -213,7 +213,7 @@ def test_scans_match_recursive_esu(random_tessellation, seed):
 
 @pytest.mark.parametrize("max_size", [1, 2, 3, 4])
 def test_max_yield_boundary(random_tessellation, max_size):
-    def ignore(stack, num, den, idx):
+    def ignore(stack, num, den):
         pass
 
     for seed in SEEDS[:6]:

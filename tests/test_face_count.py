@@ -1,0 +1,97 @@
+"""Which path of the closure's face pass runs, and what it returns there.
+
+``graphcore._bounded_faces`` answers without the whole-graph flood
+``_flood_faces`` when every bounded face of the interior graph is a single
+tile.  On the family balls of the benchmark that holds for every call, so
+the star-like pass there must never flood.  On a random tessellation a
+star-like selection can enclose a face of several tiles; the flood must
+then run, and agree with the union-find oracle of
+``tests/test_closure_local.py``, as it must for a disconnected interior
+graph whose tile count matches that of a connected one.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from isotess import graphcore
+from isotess.families import PQParams, gen_nonequilateral_tree, gen_pq_ball
+from isotess.graphcore import build_graph
+from isotess.isoperimetry import enumerate_starlike_complete
+
+from test_closure_local import _bounded_faces_reference, _distances
+
+
+def _no_flood(g, inner):
+    raise AssertionError(f"flooded the whole graph for {sorted(inner)}")
+
+
+# the inputs of the starlike-closure workload: bounds on pq(7,3) r4 and
+# netree(8,3), and the criterion-8 sweep over pq(4,4) r5 and pq(3,7) r6
+FAMILY_PASSES = {
+    "pq73r4": (lambda: gen_pq_ball(PQParams(7, 3), 4), 4, None),
+    "netree83": (lambda: gen_nonequilateral_tree(8, 3), 4, None),
+    "pq44r5": (lambda: gen_pq_ball(PQParams(4, 4), 5), 6, 2),
+    "pq37r6": (lambda: gen_pq_ball(PQParams(3, 7), 6), 6, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_PASSES))
+def test_family_balls_never_flood(name, monkeypatch):
+    make, generators, radius = FAMILY_PASSES[name]
+    g = build_graph(make())
+    gens = None if radius is None else sorted(_distances(g, 0, limit=radius))
+    monkeypatch.setattr(graphcore, "_flood_faces", _no_flood)
+    sels, _ = enumerate_starlike_complete(g, generators, generators_from=gens)
+    assert sels, name
+
+
+def test_enclosed_face_floods_and_matches_oracle(random_tessellation, monkeypatch):
+    # a triangulation: the interior graph of a star-like selection can
+    # surround a vertex outside it, a face of several tiles
+    g = build_graph(random_tessellation(random.Random("face-count"), 14))
+    flood = graphcore._flood_faces
+    bounded_faces = graphcore._bounded_faces
+    floods = []
+    calls = 0
+
+    def counted_flood(g, inner):
+        result = flood(g, inner)
+        floods.append(result)
+        return result
+
+    def checked(g, inner):
+        nonlocal calls
+        calls += 1
+        groups, ambiguous = bounded_faces(g, inner)
+        want, want_ambiguous = _bounded_faces_reference(g, inner)
+        assert {frozenset(ts) for ts in groups} == {frozenset(ts) for ts in want}, sorted(inner)
+        assert ambiguous == want_ambiguous, sorted(inner)
+        return groups, ambiguous
+
+    monkeypatch.setattr(graphcore, "_flood_faces", counted_flood)
+    monkeypatch.setattr(graphcore, "_bounded_faces", checked)
+    enumerate_starlike_complete(g, 4)
+    assert any(len(ts) > 1 for groups, _ in floods for ts in groups), len(floods)
+    assert len(floods) < calls
+
+
+def test_disconnected_interior_that_meets_the_count_floods():
+    # the 8-cycle around a vertex of the square grid, plus a far vertex: H
+    # has 8 edges, 9 vertices and no tile on it, the |E_H| - |V_H| + 1 = 0
+    # tiles the count asks for, yet the cycle encloses the four tiles
+    # around its centre
+    g = build_graph(gen_pq_ball(PQParams(4, 4), 5))
+    dist = _distances(g, 0)
+    star = {v for v, d in dist.items() if d <= 1}
+    corners = {v for v, d in dist.items()
+               if d == 2 and sum(g.other_end(e, v) in star for e in g.rotation[v]) == 2}
+    far = max(v for v, d in dist.items() if d == 4)
+    inner = frozenset((star - {0}) | corners | {far})
+    groups, ambiguous = graphcore._bounded_faces(g, inner)
+    want, want_ambiguous = _bounded_faces_reference(g, inner)
+    assert {frozenset(ts) for ts in groups} == {frozenset(ts) for ts in want}
+    assert ambiguous == want_ambiguous
+    assert sorted(map(len, groups)) == [4]
