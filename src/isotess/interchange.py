@@ -24,7 +24,8 @@ Rotation lists are cyclic clockwise sequences; lengths are rational
 strings ("p/q" or decimal).  Integers, and the numerators and
 denominators of lengths, have at most ``sys.get_int_max_str_digits()``
 decimal digits (4,300 by default), so that every value can be written
-back; longer ones are InputFormatError.  ``unbounded_face_reps`` names one directed
+back; longer ones are InputFormatError, as is a record nested deeper than
+Python's recursion limit.  ``unbounded_face_reps`` names one directed
 edge ``[edge, head]`` lying on each unbounded face.  Everything else is
 order-insensitive.
 
@@ -174,7 +175,8 @@ def load_record(path: str | Path, data: bytes | None = None) -> dict:
     """Parse the record in ``data``, the bytes of ``path`` (read when None).
 
     InputFormatError when the bytes are not UTF-8 or not JSON, hold an
-    integer longer than Python's digit limit, or are not a record object.
+    integer longer than Python's digit limit, nest deeper than its
+    recursion limit, or are not a record object.
     """
     if data is None:
         data = Path(path).read_bytes()
@@ -188,6 +190,9 @@ def load_record(path: str | Path, data: bytes | None = None) -> dict:
     except ValueError as exc:
         # an integer literal longer than sys.get_int_max_str_digits()
         raise InputFormatError(f"{path}: a JSON integer has too many digits") from exc
+    except RecursionError:
+        raise InputFormatError(f"{path}: JSON nested deeper than Python's "
+                               f"recursion limit") from None
     if not isinstance(record, dict):
         raise InputFormatError(f"{path}: top-level record must be an object")
     fmt = record.get("format", FORMAT)

@@ -4,18 +4,21 @@ The metric isoperimetric constant is the infimum of deg(boundary S) /
 mes(S) over finite connected subgraphs S; the combinatorial one replaces
 subgraphs by finite vertex sets.  Both are approached from above by
 canonical enumeration and from below by the curvature estimates.  One ESU
-routine serves both: it visits every connected vertex set once in a fixed
-order, and connected edge subsets are the connected vertex sets of the
-line graph.  Sets at the size limit are visited in one batch per parent
-set: the scan reads the parent's running statistics and adds each
-candidate's share, so most sets cost one visitor call and no recursion.
-The scans run in one process and in integers (lengths scaled by L, the
-lcm of their denominators; ratios cross-multiplied); each result builds
-one Fraction, for the smallest ratio with the lexicographically smallest
-witness, so results do not depend on the visiting order.  The brute-force
-minimum over edge subsets bounds each batch from below and skips the
-batches that cannot beat or tie its best so far; skipped sets still
-count, so counts, values and witnesses are those of the full scan.
+routine serves both: it visits every connected vertex set once in an
+order fixed by the input, and connected edge subsets are the connected
+vertex sets of the line graph.  The one-node extensions of a set are
+visited in one batch before any of them is grown: the scan reads the
+set's running statistics and adds each candidate's share, so most sets
+cost one visitor call and no recursion.  The edge scan keeps its
+statistics with one degree rule, held as tables of the change each
+added edge makes.  The scans run in one process and in integers
+(lengths scaled by L, the lcm of their denominators; ratios
+cross-multiplied); each result builds one Fraction, for the smallest
+ratio with the lexicographically smallest witness, so results do not
+depend on the visiting order.  The brute-force minimum over edge subsets
+bounds each batch from below and skips the batches that cannot beat or
+tie its best so far; skipped sets still count, so counts, values and
+witnesses are those of the full scan.
 """
 
 from __future__ import annotations
@@ -93,7 +96,9 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
 
     Nodes are 0..n-1 with sorted adjacency lists ``nbrs``.  Each set is
     grown from its smallest node by canonical augmentation (Wernicke's
-    ESU), so the visiting order is fixed by the input alone.
+    ESU), so the visiting order is fixed by the input alone: first the
+    single nodes, then, for each set in turn, all of its extensions by
+    one node together before any of them is grown.
 
     ``emit(stack, cands)`` visits the sets ``stack + [j]`` for the nodes j
     of ``cands`` in order; ``stack`` is the current node list (do not keep
@@ -103,63 +108,58 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
     share.
 
     ``skip(stack, j)``, when given, is asked once per set ``stack + [j]``
-    of max_size - 1 nodes, right after that set is visited: True means
-    the caller needs none of its extensions, the sets at the size limit
-    grown from it.  They are then counted, and the ``max_yield`` check
-    runs on them as if they were emitted, but j is not pushed and no emit
-    is called for them.  The hook removes visits only: the count and the
-    order of the visits that remain are the same as without it.
+    of max_size - 1 nodes, after that set is visited and before it is
+    grown: True means the caller needs none of its extensions, the sets
+    at the size limit grown from it.  They are then counted, and the
+    ``max_yield`` check runs on them as if they were emitted, but j is
+    not pushed and no emit is called for them.  The hook removes visits
+    only: the count and the order of the visits that remain are the same
+    as without it.
 
-    Cost: only sets that can still grow are pushed.  Each set of fewer
-    than max_size nodes gets its own emit call, one push and one pop, in
-    depth-first order; a set of max_size - 1 nodes then hands all of its
-    extensions to one emit, or to none when skipped.  The sets at the
-    size limit, most of the sets, cost no push, pop, touched mark, slice
-    or recursion.  A batch that would pass ``max_yield`` sets raises
-    BudgetExceeded(message, max_yield + 1) before it is emitted.  Returns
-    the number of sets visited or skipped.
+    Cost: only sets that can still grow are pushed.  The single nodes
+    share one emit, and each pushed set hands all of its extensions to
+    one emit, or to none when skipped, so a set costs one emit, push and
+    pop when it is grown and nothing of its own when it is not.  The sets
+    at the size limit, most of the sets, cost no push, pop, touched mark,
+    slice or recursion.  An emit that would pass ``max_yield`` sets raises
+    BudgetExceeded(message, max_yield + 1) before it runs, and a scan
+    deeper than Python's recursion limit raises OutOfRange.  Returns the
+    number of sets visited or skipped.
     """
     touched = bytearray(len(nbrs))
     stack: list[int] = []
     count = 0
 
-    def batch(cands: Sequence[int]) -> None:
+    def counted(n: int) -> None:
         nonlocal count
-        if count + len(cands) > max_yield:
+        if count + n > max_yield:
             raise _exceeded(max_yield)
-        emit(stack, cands)
-        count += len(cands)
+        count += n
 
     def skipped(j: int, later: int) -> bool:
         # the extensions of stack + [j]: ``later`` nodes after j in its
         # parent's list and j's neighbours no smaller set has reached
-        nonlocal count
-        if not skip(stack, j):
+        if skip is None or len(stack) + 2 != max_size or not skip(stack, j):
             return False
         near = nbrs[j]
-        n = later + len(near) - sum(map(touched.__getitem__, near))
-        if count + n > max_yield:
-            raise _exceeded(max_yield)
-        count += n
+        counted(later + len(near) - sum(map(touched.__getitem__, near)))
         return True
 
     def extend(i: int, ext: list[int]) -> None:
-        # stack + [i] has been visited and can grow: push i, then grow the
-        # set by every later node of ``ext`` and by the neighbours of i no
-        # smaller set has reached
+        # stack + [i] has been visited and can grow: push i, visit the sets
+        # grown by every later node of ``ext`` and by each neighbour of i
+        # no smaller set has reached, then grow those that can grow
         push(i)
         stack.append(i)
         fresh = [j for j in nbrs[i] if not touched[j]]
-        if len(stack) + 1 == max_size:
-            batch(ext + fresh)
-        else:
+        ext = ext + fresh
+        counted(len(ext))
+        emit(stack, ext)
+        if len(stack) + 1 < max_size:
             for j in fresh:
                 touched[j] = 1
-            ext = ext + fresh
-            last = skip is not None and len(stack) + 2 == max_size
             for k, j in enumerate(ext):
-                batch((j,))
-                if not (last and skipped(j, len(ext) - k - 1)):
+                if not skipped(j, len(ext) - k - 1):
                     extend(j, ext[k + 1:])
             for j in fresh:
                 touched[j] = 0
@@ -167,15 +167,17 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
         stack.pop()
 
     try:
-        if max_size <= 1:
-            batch(range(len(nbrs)))
-            return count
-        last = skip is not None and max_size == 2
-        for r in range(len(nbrs)):
-            touched[r] = 1  # r stays touched: later roots never revisit it
-            batch((r,))
-            if not (last and skipped(r, 0)):
-                extend(r, [])
+        roots = range(len(nbrs))
+        counted(len(roots))
+        emit(stack, roots)
+        if max_size > 1:
+            for r in roots:
+                touched[r] = 1  # r stays touched: later roots never revisit it
+                if not skipped(r, 0):
+                    extend(r, [])
+    except RecursionError:
+        raise OutOfRange(f"sets of up to {max_size} nodes nest deeper than "
+                         f"Python's recursion limit") from None
     finally:
         # extend refers to itself through its cell: without this the scan's
         # closures, and whatever the callbacks hold, live until a collection
@@ -211,22 +213,24 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
     This is the ESU scan on the line graph.  Returns the number of subsets.
 
     ``_hopeless(first, num, den)``, private to :func:`_lex_min`, lets the
-    scan skip a whole leaf batch (the sets ``stack + [j]`` of one emit)
+    scan skip a whole batch (the sets ``stack + [j]`` of one emit)
     without visiting it.  Call a vertex a closer when it has 1 <= deg =
-    td - 1, deg counting its edges in ``stack`` and td its true degree.
-    With no closer, every leaf edge j has an end in the set, which adds
-    +1, and its other end adds at least ``low`` (0 if some eligible vertex
+    td - 1, deg counting its edges in ``stack`` and td its true degree;
+    the degree tables give the change of bd and of the closer count as
+    deg grows, and push, pop, emit and skip all read them.  With no
+    closer, every candidate edge j has an end in the set, which adds +1,
+    and its other end adds at least ``low`` (0 if some eligible vertex
     has td 1, else 1), while j adds at most the longest eligible length
-    ``top``: every leaf has ratio >= (bd + 1 + low) / (mes + top).  The
-    batch is skipped when ``_hopeless(stack[0], bd + 1 + low, mes + top)``
-    says that no set of that ratio or more, grown from ``stack[0]``, can
-    change the caller's result.  Each emit checks this on the statistics
-    of ``stack``, which also covers the single sets visited below the size
-    limit; before a set of max_edges - 1 edges is pushed, ``_esu``'s
-    ``skip`` checks it for that set's leaves, so a skipped leaf batch costs
-    no push, pop or emit.  Skipped sets still count, and the sets that are
-    visited come in the same order, so the return value and the
-    ``max_yield`` boundary do not depend on the hook.
+    ``top``: every set of the batch has ratio >= (bd + 1 + low) / (mes +
+    top).  The batch is skipped when ``_hopeless(stack[0], bd + 1 + low,
+    mes + top)`` says that no set of that ratio or more, grown from
+    ``stack[0]``, can change the caller's result.  Each emit checks this
+    once, on the statistics of ``stack``; before a set of max_edges - 1
+    edges is pushed, ``_esu``'s ``skip`` checks it for that set's leaves,
+    so a skipped leaf batch costs no push, pop or emit.  Skipped sets
+    still count, and the sets that are visited come in the same order, so
+    the return value and the ``max_yield`` boundary do not depend on the
+    hook.
     """
     edge_ids = sorted(eligible_edges if eligible_edges is not None
                       else g.frontier_free_edges())
@@ -241,40 +245,43 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
     index = {e: i for i, e in enumerate(edge_ids)}
     nbrs = [sorted({index[f] for v in g.edge_ends[e] for f in g.rotation[v]
                     if f in index} - {i}) for i, e in enumerate(edge_ids)]
-    # the floor of a leaf's boundary degree over bd, and of its measure over mes
+    # the floor of a batch member's boundary degree over bd, and of its measure over mes
     gain = 1 if 1 in truedeg else 2
     top = max(lengths, default=0)
+
+    # the degree rule, once: a vertex of true degree t with d of its edges
+    # in S adds d to bd while d < t, and is a closer while 1 <= d = t - 1;
+    # rise[w][d] and close[w][d] are the changes in bd and in the closer
+    # count when the degree of w goes from d to d + 1
+    def rule(t: int, d: int) -> tuple[int, bool]:
+        return (d if d < t else 0), 1 <= d == t - 1
+
+    tables = {t: ([rule(t, d + 1)[0] - rule(t, d)[0] for d in range(t)],
+                  [rule(t, d + 1)[1] - rule(t, d)[1] for d in range(t)])
+              for t in set(truedeg)}
+    rise = [tables[t][0] for t in truedeg]
+    close = [tables[t][1] for t in truedeg]
 
     deg = [0] * len(vid)
     bd = 0
     mes = 0
     closers = 0
 
-    # a vertex adds its degree d in S to bd until d reaches its true degree
     def push(i: int) -> None:
         nonlocal bd, mes, closers
         for w in ends[i]:
-            d = deg[w] = deg[w] + 1
-            t = truedeg[w]
-            if d < t:
-                bd += 1
-                closers += d == t - 1
-            else:
-                bd += 1 - d
-                closers -= d > 1
+            d = deg[w]
+            bd += rise[w][d]
+            closers += close[w][d]
+            deg[w] = d + 1
         mes += lengths[i]
 
     def pop(i: int) -> None:
         nonlocal bd, mes, closers
         for w in ends[i]:
-            d = deg[w]
-            if d == truedeg[w]:
-                bd += d - 1
-                closers += d > 1
-            else:
-                bd -= 1
-                closers -= d == truedeg[w] - 1
-            deg[w] = d - 1
+            d = deg[w] = deg[w] - 1
+            bd -= rise[w][d]
+            closers -= close[w][d]
         mes -= lengths[i]
 
     # the set stack + [j] has the statistics of push(j), read without
@@ -286,28 +293,18 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
         stack.append(-1)
         for j in cands:
             a, b = ends[j]
-            da, db = deg[a] + 1, deg[b] + 1
             stack[-1] = j
-            visit(stack, bd + (1 if da < truedeg[a] else 1 - da)
-                  + (1 if db < truedeg[b] else 1 - db), mes + lengths[j])
+            visit(stack, bd + rise[a][deg[a]] + rise[b][deg[b]], mes + lengths[j])
         stack.pop()
 
     # the leaves of stack + [j], from the statistics of push(j) read
-    # without storing: a new closer at an end rules the floor out
+    # without storing: a closer there rules the floor out
     def skip(stack: list[int], j: int) -> bool:
-        n, b = closers, bd
-        for w in ends[j]:
-            d = deg[w] + 1
-            t = truedeg[w]
-            if d < t:
-                if d == t - 1:
-                    return False
-                b += 1
-            else:
-                n -= d > 1
-                b += 1 - d
-        return not n and _hopeless(stack[0] if stack else j, b + gain,
-                                   mes + lengths[j] + top)
+        a, b = ends[j]
+        da, db = deg[a], deg[b]
+        return not closers + close[a][da] + close[b][db] and _hopeless(
+            stack[0] if stack else j, bd + rise[a][da] + rise[b][db] + gain,
+            mes + lengths[j] + top)
 
     return _esu(nbrs, max_edges, push, pop, emit, max_yield,
                 None if _hopeless is None else skip)
@@ -319,7 +316,8 @@ def enumerate_connected_subgraphs(g: MetricGraph, max_edges: int,
     """Every connected edge subset of size <= max_edges, exactly once.
 
     Subsets are sorted tuples of edge ids, listed in the scan's canonical
-    order.
+    order: the single edges, then, set by set, the one-edge extensions of
+    each set together before any of them is grown (see :func:`_esu`).
     """
     edge_ids = sorted(eligible_edges if eligible_edges is not None
                       else g.frontier_free_edges())

@@ -106,6 +106,13 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     huge.write_text(canonical_json(record).replace("987654321", "9" * 5001, 1))
     assert run(["faces", str(huge)]) == 4
     assert "too many digits" in capsys.readouterr().err
+    # json.loads recurses once per nesting level
+    record = k4_record()
+    record["family"] = "nested"
+    deep = tmp_path / "deep.json"
+    deep.write_text(canonical_json(record).replace('"nested"', "[" * 100_000 + "]" * 100_000))
+    assert run(["faces", str(deep)]) == 4
+    assert "nested deeper" in capsys.readouterr().err
 
 
 def test_budget_exhausted_exit_code(tmp_path, capsys):
@@ -115,6 +122,17 @@ def test_budget_exhausted_exit_code(tmp_path, capsys):
     assert run(["alpha", str(graph), "--budget-edges", "6",
                 "--max-yield", "10"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["alpha", "compare"])
+def test_scan_deeper_than_recursion_limit_exit_code(tmp_path, capsys, command):
+    graph = tmp_path / "pq73r6.json"
+    assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", "6",
+                "--output", str(graph)]) == 0
+    capsys.readouterr()
+    assert run([command, str(graph), "--budget-edges", "990"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("OutOfRange: ") and "Traceback" not in err
 
 
 # one edge with two ends of degree 1: its only connected subgraph is the

@@ -6,10 +6,11 @@ edge subsets and connected vertex sets of each size are listed naively:
 every combination, kept when it is connected.  The scans must visit
 exactly those sets, once each, and the brute-force minima must be the
 naive minimum ratio with the lexicographically smallest sorted witness
-among its minimisers.  The scans visit the last level in batches; the
-one-set-per-call recursive ESU they ran before is kept here as an oracle
-for the visiting order, the indices and the statistics of every set.  A
-failure names its seed; ``random.Random`` with that string replays it.
+among its minimisers.  The scans visit each set's extensions in one
+batch; a one-set-per-call recursive ESU, read in the same order, is kept
+here as an oracle for the visiting order, the positions and the
+statistics of every set.  A failure names its seed; ``random.Random``
+with that string replays it.
 """
 
 from __future__ import annotations
@@ -136,18 +137,23 @@ def test_minima_match_combinations(random_tessellation, seed):
 
 
 def _recursive_esu(nbrs, max_size):
-    """(stack, index) of every set, one recursive call per set.
+    """Every set, as a node tuple, in the scans' visiting order.
 
-    The ESU recursion the scans ran before their last level was batched:
-    each set is visited when its node is added, then grown by every later
-    node of ``ext`` and by the neighbours no smaller set has reached.
+    Wernicke's ESU recursion, one call per set, builds the tree of sets:
+    each set is grown by every later node of ``ext`` and by the
+    neighbours no smaller set has reached.  The scans do not read that
+    tree in preorder: they visit the single nodes first, then, for each
+    set in turn, all of its children together before growing any of them.
     """
     touched = bytearray(len(nbrs))
-    stack, out = [], []
+    stack = []
+    children = {(): []}
 
     def extend(i, ext):
         stack.append(i)
-        out.append((tuple(stack), len(out)))
+        key = tuple(stack)
+        children[key[:-1]].append(key)
+        children[key] = []
         if len(stack) < max_size:
             fresh = [j for j in nbrs[i] if not touched[j]]
             for j in fresh:
@@ -162,6 +168,15 @@ def _recursive_esu(nbrs, max_size):
     for r in range(len(nbrs)):
         touched[r] = 1
         extend(r, [])
+
+    out = []
+
+    def read(key):
+        out.extend(children[key])
+        for child in children[key]:
+            read(child)
+
+    read(())
     return out
 
 
@@ -200,12 +215,14 @@ def test_scans_match_recursive_esu(random_tessellation, seed):
         return sumdeg - 2 * internal, sumdeg
 
     for max_size in range(1, 5):
-        want = [(stack, *edge_stats(stack), idx) for stack, idx in _recursive_esu(line, max_size)]
+        want = [(stack, *edge_stats(stack), idx)
+                for idx, stack in enumerate(_recursive_esu(line, max_size))]
         got, count = _recorded(lambda visit: scan_connected_edge_subsets(
             g, max_size, visit, edge_ids))
         assert got == want and count == len(want), (seed, "edges", max_size)
 
-        want = [(stack, *vertex_stats(stack), idx) for stack, idx in _recursive_esu(adj, max_size)]
+        want = [(stack, *vertex_stats(stack), idx)
+                for idx, stack in enumerate(_recursive_esu(adj, max_size))]
         got, count = _recorded(lambda visit: _scan_connected_vertex_sets(
             g, vertex_ids, max_size, visit, 10**6))
         assert got == want and count == len(want), (seed, "vertices", max_size)

@@ -106,6 +106,14 @@ def test_budget_exceeded():
         alpha_comb_upper_bruteforce(g, Budget(max_generators=4, max_yield=10))
 
 
+def test_scan_deeper_than_recursion_limit_is_out_of_range():
+    # the first set the scan grows on pq(7,3) r6 reaches 990 edges long
+    # before max_yield: the recursion limit, not the budget, stops it
+    g = build_graph(gen_pq_ball(PQParams(7, 3), 6))
+    with pytest.raises(OutOfRange, match="990"):
+        alpha_upper_bruteforce(g, Budget(max_edges=990))
+
+
 # --- star-like complete enumeration ------------------------------------------
 
 def test_starlike_enumeration_tree():

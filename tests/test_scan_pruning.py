@@ -1,7 +1,7 @@
 """The bound-pruned edge scan against the same scan with no pruning.
 
 ``alpha_upper_bruteforce`` hands ``_lex_min``'s hook to the edge scan,
-which then skips leaf batches whose ratio floor cannot change the result.
+which then skips batches whose ratio floor cannot change the result.
 Dropping the hook gives the scan that visits every set.  On seeded random
 tessellations (``bench/inputs.py::random_tessellation``), some with
 pendant edges so that eligible vertices of true degree 1 occur, both must
@@ -11,8 +11,11 @@ point.  Their degree-3 vertices make closers (vertices one edge short of
 their true degree) common; only at 6 edges does a floor taken with a
 closer present skip a batch that holds the minimiser.  Random inputs
 never meet the floor exactly, so two hand-built paths that do pin the tie
-rule and the floor's term for vertices of true degree 1.  A failure names
-its seed; ``random.Random`` with that string replays it.
+rule and the floor's term for vertices of true degree 1.  Pruning less
+changes no result, so pins on the visit counts of G_3 and a (4,4) ball,
+where closers are common, catch a scan that takes fewer floors than it
+may.  A failure names its seed; ``random.Random`` with that string
+replays it.
 """
 
 from __future__ import annotations
@@ -147,3 +150,26 @@ def test_pruned_scan_skips_most_visits_on_pq73_r3(monkeypatch):
     assert res.enumerated == 300_125
     assert res.bound.witness == (0,)
     assert visits <= 1_000
+
+
+# G_3 and the (4,4) ball are full of closers: a scan that keeps counting
+# a vertex as a closer once it is saturated takes fewer floors and visits
+# more sets (3,910 and 19,473), with the same results
+@pytest.mark.parametrize("graph,visits,enumerated", [
+    (lambda: families.gen_gk(families.GkParams(k=3)), 3_677, 17_578),
+    (lambda: families.gen_pq_ball(families.PQParams(4, 4), 5), 18_101, 30_547),
+], ids=["gk3", "pq44r5"])
+def test_pruned_scan_visits_where_closers_occur(monkeypatch, graph, visits, enumerated):
+    got = 0
+    scan = isoperimetry.scan_connected_edge_subsets
+
+    def counted(g, max_edges, visit, *args, **kwargs):
+        def counting(*x):
+            nonlocal got
+            got += 1
+            return visit(*x)
+        return scan(g, max_edges, counting, *args, **kwargs)
+
+    monkeypatch.setattr(isoperimetry, "scan_connected_edge_subsets", counted)
+    res = alpha_upper_bruteforce(build_graph(graph()), Budget(max_edges=6))
+    assert (got, res.enumerated) == (visits, enumerated)
