@@ -3,8 +3,12 @@
 Every analysis command takes one path, `_analyze`: read the interchange
 file once, build the graph, run the command's function from `_ANALYSES`
 (graph, family block, args -> result, exit code) and emit one canonical
-report.  Budgeted commands find their `Budget` in ``args.budget`` and echo
-it with the tolerance.  Generator commands write interchange files;
+report.  A function returns the library's result as it is (brackets,
+bounds, violations, Fractions, tuples) and `_emit` writes it with
+`reports.jsonable`; only `faces` and `curvature` write their own results,
+quantity by quantity with `reports.value_json`.  Budgeted commands find
+their `Budget` in ``args.budget`` and echo it with ``--tolerance``, a
+finite float of at least 0.  Generator commands write interchange files;
 `witness` loads its optional input the same way.  Each command takes only
 the flags it reads.  Enumeration runs in one process; ``--workers`` is
 accepted by alpha and compare but changes nothing, so identical inputs and
@@ -60,14 +64,23 @@ EXIT_BUDGET = 3
 EXIT_MALFORMED = 4
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(kind: type, least: int):
+    """An argparse type: a finite ``kind`` of at least ``least``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not least <= value < math.inf:  # also false for nan
+            raise argparse.ArgumentTypeError(
+                f"must be finite and at least {least}, got {text}")
+        return value
+    return parse
+
+
+_positive_int = _at_least(int, 1)
+_tolerance = _at_least(float, 0)
 
 
 def _int_or_inf(text: str) -> int | float:
@@ -77,6 +90,10 @@ def _int_or_inf(text: str) -> int | float:
 # commands that enumerate, and those of them that accept --workers
 _BUDGETED = ("bounds", "alpha", "comb-alpha", "compare")
 _WORKERS = ("alpha", "compare")
+# commands whose results are written already, by value_json per quantity:
+# their None means "indeterminate", their int ids are string keys, and a
+# reports.jsonable pass over them would cost as much as a curvature pass
+_WRITTEN = ("faces", "curvature")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default=Budget.max_generators, metavar="N")
             p.add_argument("--max-yield", type=_positive_int,
                            default=Budget.max_yield, metavar="N")
-            p.add_argument("--tolerance", type=float, default=1e-12, metavar="X")
+            p.add_argument("--tolerance", type=_tolerance, default=1e-12,
+                           metavar="X")
         if name in _WORKERS:
             p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
                            help="accepted for compatibility; enumeration runs "
@@ -144,8 +162,10 @@ def _load(path: str) -> tuple[MetricGraph, dict, bytes]:
     return graphcore.build_graph(record), record, data
 
 
-def _emit(args, result: dict, data: bytes | None, family: dict | None,
+def _emit(args, result, data: bytes | None, family: dict | None,
           **echo) -> None:
+    if args.command not in _WRITTEN:
+        result = reports.jsonable(result)
     report = reports.make_report(args.command, result, input_bytes=data,
                                  family=family, **echo)
     sys.stdout.write(reports.emit(report, args.output))
@@ -156,14 +176,8 @@ def _validate(g: MetricGraph, family, args) -> tuple[dict, int]:
     if mode == "auto":
         mode = "truncation" if g.frontier_vertices else "finite"
     rep = validate_tessellation(g, mode)
-    return {
-        "mode": mode,
-        "valid": rep.valid,
-        "violations": [
-            {"condition": v.condition, "witness": v.witness, "detail": v.detail}
-            for v in rep.violations
-        ],
-    }, EXIT_OK if rep.valid else EXIT_VIOLATIONS
+    return {"mode": mode, "valid": rep.valid, "violations": rep.violations}, \
+        EXIT_OK if rep.valid else EXIT_VIOLATIONS
 
 
 def _faces(g: MetricGraph, family, args) -> tuple[dict, int]:
@@ -185,24 +199,15 @@ def _faces(g: MetricGraph, family, args) -> tuple[dict, int]:
 def _curvature(g: MetricGraph, family, args) -> tuple[dict, int]:
     rep = global_constants(g)
     return {
-        "vertex_weight": {str(v): value_json(w) for v, w in rep.vertex_weight.items()},
-        "char_value": {str(e): value_json(c) for e, c in rep.char_value.items()},
-        "vertex_curvature": {str(v): value_json(k)
-                             for v, k in rep.vertex_curvature.items()},
+        **{name: {str(i): value_json(x) for i, x in getattr(rep, name).items()}
+           for name in ("vertex_weight", "char_value", "vertex_curvature",
+                        "tile_perimeter")},
         "vertex_curvature_convention": "corners on unbounded tiles "
                                        "contribute 1/d_T = 0 (extension)",
-        "tile_perimeter": {str(t): value_json(p)
-                           for t, p in rep.tile_perimeter.items()},
         "globals": {
-            "ell_star": value_json(rep.ell_star),
-            "ell_min": value_json(rep.ell_min),
-            "c_star": value_json(rep.c_star),
-            "M": value_json(rep.M),
-            "P": value_json(rep.P),
-            "K": value_json(rep.K),
+            **{name: value_json(getattr(rep, name))
+               for name in ("ell_star", "ell_min", "c_star", "M", "P", "K", "dT_star")},
             "deg_star": rep.deg_star,
-            "dT_star": value_json(rep.dT_star)
-            if not isinstance(rep.dT_star, int) else rep.dT_star,
             "observed": rep.observed,
             "counts": rep.counts,
         },
@@ -214,7 +219,7 @@ def _gauss_bonnet(g: MetricGraph, family, args) -> tuple[dict, int]:
         res = gauss_bonnet_check(g)
     except NotFiniteTessellation as exc:
         return {"error": "NotFiniteTessellation", "detail": str(exc)}, EXIT_VIOLATIONS
-    return {"sum": value_json(res.total), "holds": res.holds}, EXIT_OK
+    return {"sum": res.total, "holds": res.holds}, EXIT_OK
 
 
 def _certified_lengths(g: MetricGraph, family) -> tuple[Fraction | None, Fraction | None]:
@@ -234,7 +239,7 @@ def _bounds(g: MetricGraph, family, args) -> tuple[dict, int]:
         _certified_lengths(g, family)
     bounds = lower_bounds(g, budget=args.budget)
     bounds.extend(family_lower)
-    return {"bounds": [reports.bound_json(b) for b in bounds]}, EXIT_OK
+    return {"bounds": bounds}, EXIT_OK
 
 
 def _bracket(g: MetricGraph, family, args) -> AlphaBracket:
@@ -245,20 +250,16 @@ def _bracket(g: MetricGraph, family, args) -> AlphaBracket:
         workers=args.workers)
 
 
-def _alpha(g: MetricGraph, family, args) -> tuple[dict, int]:
-    return reports.bracket_json(_bracket(g, family, args)), EXIT_OK
+def _alpha(g: MetricGraph, family, args) -> tuple[AlphaBracket, int]:
+    return _bracket(g, family, args), EXIT_OK
 
 
 def _comb(g: MetricGraph, family, args) -> tuple[dict, Fraction | float | None]:
     """The comb-alpha result and the family's closed-form alpha_comb."""
     res = alpha_comb_upper_bruteforce(g, args.budget)
     closed = families.family_comb_closed_form(family)
-    return {
-        "best_upper": value_json(res.value),
-        "witness_vertices": list(res.witness_vertices),
-        "enumerated": res.enumerated,
-        "closed_form": value_json(closed) if closed is not None else None,
-    }, closed
+    return {"best_upper": res.value, "witness_vertices": res.witness_vertices,
+            "enumerated": res.enumerated, "closed_form": closed}, closed
 
 
 def _comb_alpha(g: MetricGraph, family, args) -> tuple[dict, int]:
@@ -278,13 +279,10 @@ def _compare(g: MetricGraph, family, args) -> tuple[dict, int]:
         transformed = equilateral_transform(closed)
         matches = None if exact is None else \
             abs(float(transformed) - float(exact)) <= args.tolerance
-        combmetric = {
-            "alpha_comb": value_json(closed),
-            "transformed": value_json(transformed),
-            "matches_alpha_exact": matches,
-        }
+        combmetric = {"alpha_comb": closed, "transformed": transformed,
+                      "matches_alpha_exact": matches}
     return {
-        "alpha": reports.bracket_json(bracket),
+        "alpha": bracket,
         "comb": comb,
         "combmetric_check": combmetric,
         "divergence_flag": divergence,
@@ -348,15 +346,7 @@ def _cmd_witness(args) -> int:
     if args.input:
         graph, record, data = _load(args.input)
     w = families.gk_witness_sequence(args.k, args.l, graph=graph, record=record)
-    result = {
-        "k": w["k"], "l": w["l"],
-        "measure": value_json(w["measure"]),
-        "boundary_degree": w["boundary_degree"],
-        "ratio": value_json(w["ratio"]),
-        "limit": value_json(w["limit"]),
-        "cross_checked": w["cross_checked"],
-    }
-    _emit(args, result, data, record.get("family") if record else None)
+    _emit(args, w, data, record.get("family") if record else None)
     return EXIT_OK
 
 

@@ -1,10 +1,21 @@
 """Report records: canonical JSON with exact rationals as "p/q" strings.
 
+A report writes every value by one rule.  Exact values are "p/q" strings
+("p" when whole); infinity is "inf"; a quantity that depends on hidden
+data (a vertex or tile next to the frontier) is "indeterminate"; an
+absent field is null.  Besides counts, ids and the echoed budget, JSON
+numbers appear only for the float closed forms, the Cheeger upper end
+(and the lower end when a float closed form is the best lower bound) and
+the echoed tolerance.  Tuples are written as lists.
+:func:`value_json` writes one quantity, where None means indeterminate;
+:func:`jsonable` writes a whole library result, where None means absent.
+
 The canonical form is defined once, by :func:`isotess.interchange.canonical_json`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 from fractions import Fraction
@@ -12,14 +23,14 @@ from pathlib import Path
 
 from .errors import OutOfRange
 from .interchange import canonical_json
-from .isoperimetry import AlphaBracket, Bound
-from .rational import format_extended
+from .rational import INF, format_extended
 
 SCHEMA_VERSION = 1
 
 
-def value_json(x) -> str | float | None:
-    """Fractions and infinities as strings, floats as floats.
+def value_json(x) -> str | int | float:
+    """Fractions, infinity and None (indeterminate) as strings; ints and
+    finite floats as themselves.
 
     OutOfRange for a value with more digits than Python writes
     (``sys.get_int_max_str_digits()``).
@@ -27,60 +38,40 @@ def value_json(x) -> str | float | None:
     try:
         if x is None or isinstance(x, Fraction):
             return format_extended(x)
-        if isinstance(x, int):
-            return str(x)
     except ValueError:
         raise OutOfRange(f"a report value has more than "
                          f"{sys.get_int_max_str_digits()} digits") from None
-    if isinstance(x, float):
-        return format_extended(x) if x == float("inf") else x
+    if isinstance(x, (int, float)):
+        return format_extended(x) if x == INF else x
     raise TypeError(f"unexpected value {x!r}")
 
 
-def bound_json(b: Bound) -> dict:
-    return {
-        "value": value_json(b.value),
-        "provenance": b.provenance,
-        "side": b.side,
-        "certified": b.certified,
-        "target": b.target,
-        "witness": list(b.witness) if b.witness is not None else None,
-        "note": b.note,
-    }
+def jsonable(x):
+    """A library result as a report writes it.
 
-
-def bracket_json(br: AlphaBracket) -> dict:
-    def opt(x):
-        return None if x is None else value_json(x)
-
-    out = {
-        "bounds": [bound_json(b) for b in br.bounds],
-        "best_lower": opt(br.best_lower),
-        "best_upper": opt(br.best_upper),
-        "alpha_exact": opt(br.alpha_exact),
-        "restricted_alpha": None,
-        "cheeger": None,
-    }
-    if br.restricted_alpha is not None:
-        out["restricted_alpha"] = {
-            "value": value_json(br.restricted_alpha["value"]),
-            "witness": list(br.restricted_alpha["witness"] or ()),
-            "exhaustive": br.restricted_alpha["exhaustive"],
-        }
-    if br.cheeger is not None:
-        out["cheeger"] = {
-            "lambda0_lower": value_json(br.cheeger["lambda0_lower"]),
-            "lambda0_upper": value_json(br.cheeger["lambda0_upper"]),
-            "ell_min": value_json(br.cheeger["ell_min"]),
-            "certified": br.cheeger["certified"],
-        }
-    return out
+    Fractions and floats go through :func:`value_json`, a dataclass
+    becomes the dict of its fields, tuples and lists become lists and
+    dicts keep their keys, each item converted; None stays null, and
+    strings, ints and bools stay as they are.
+    """
+    if x is None or isinstance(x, (str, int)):
+        return x
+    if isinstance(x, (Fraction, float)):
+        return value_json(x)
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return {f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    raise TypeError(f"unexpected value {x!r}")
 
 
 def make_report(command: str, result: dict, *, input_bytes: bytes | None = None,
-                family: dict | None = None, budget: dict | None = None,
-                tolerance: float | None = None) -> dict:
-    report = {
+                family: dict | None = None, **echo) -> dict:
+    """The report of ``command``; ``echo`` holds the settings it echoes
+    (budget and tolerance), written beside ``result``."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool": "isotess",
         "command": command,
@@ -89,12 +80,8 @@ def make_report(command: str, result: dict, *, input_bytes: bytes | None = None,
             "family": family,
         },
         "result": result,
+        **echo,
     }
-    if budget is not None:
-        report["budget"] = budget
-    if tolerance is not None:
-        report["tolerance"] = tolerance
-    return report
 
 
 def dumps_report(report: dict) -> str:

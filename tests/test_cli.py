@@ -599,6 +599,8 @@ def test_family_block_exit_code(tmp_path, capsys, family, code):
     ["bounds", "g.json", "--budget-generators", "0"],
     ["comb-alpha", "g.json", "--max-yield", "0"],
     ["gen", "pq", "--p", "4", "--q", "abc", "--radius", "2", "--output", "g.json"],
+    *([command, "g.json", "--tolerance", value]
+      for command in ("alpha", "compare") for value in ("nan", "inf", "1e400", "-1")),
 ])
 def test_numeric_flags_below_one_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -784,6 +786,10 @@ def pinned_inputs(tmp_path_factory):
     return paths
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not standard JSON")
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
 def test_report_digests_pinned(pinned_inputs, capsys, name):
     capsys.readouterr()
@@ -795,8 +801,44 @@ def test_report_digests_pinned(pinned_inputs, capsys, name):
         code = main(argv)
         text = capsys.readouterr().out
         got[command] = (code, hashlib.sha256(text.encode("utf-8")).hexdigest())
-        # the canonical writer is json.dumps(sort_keys=True, indent=2)
-        parsed = json.loads(text)
+        # the canonical writer is json.dumps(sort_keys=True, indent=2); a
+        # report is standard JSON, with no NaN or Infinity token
+        parsed = json.loads(text, parse_constant=_reject_constant)
         assert canonical_json(parsed) + "\n" == text, command
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text, command
     assert got == REPORT_DIGESTS[name]
+
+
+# sha256 of the witness and gen reports.  ``gk3`` stands for the pinned
+# gk3 file; gen runs in an empty directory with a relative --output, since
+# its report echoes the path.
+WITNESS_DIGESTS = {
+    ("--k", "3", "--l", "2"):
+        "c61d541b940c069dc554aff1fe7f806144403ecaa33da7562a6e7cf2732ca298",
+    ("--k", "3", "--l", "2", "--input", "gk3"):
+        "1fb7447145d77e56c2901ab7413de243e7761aa689c25594b118a1912ee6ee52",
+    ("--k", "5", "--l", "40"):
+        "ccb16c6f06c274369f3326b104068137fdd79ce3a47a5a72d85239cdebb89427",
+}
+GEN_DIGESTS = {
+    "pq44r2": "b5b1891d5b79b70bfb991a9cb4d88fc5301142fbfe606809ee608a1de1ffd838",
+    "pq37r2": "19f26e8301ad336dc01d71bd149ba776a93906a23d3bcb4b5c969ec1247085d9",
+    "tree3r3": "4744c64ed941c9d55f12010f3f48da488412d750e0797c4fe165ed55f586374f",
+    "gk3": "9ca25470219c86c7a8823d59c57d8ea25c8997a3f4be489636ef6747a27f2b70",
+    "netree63": "dde54d7ff55dde032516c591f5d675ff563b68d80b059705db2f7654cc9f0d0b",
+}
+
+
+def test_witness_and_gen_digests_pinned(pinned_inputs, tmp_path, monkeypatch, capsys):
+    capsys.readouterr()
+    got = {}
+    for argv in WITNESS_DIGESTS:
+        assert main(["witness", *(str(pinned_inputs.get(a, a)) for a in argv)]) == 0
+        got[argv] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert got == WITNESS_DIGESTS
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name, argv in _GENERATED.items():
+        assert main(["gen", *argv, "--output", f"{name}.json"]) == 0
+        got[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert got == GEN_DIGESTS

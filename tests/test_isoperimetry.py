@@ -129,6 +129,23 @@ def test_starlike_enumeration_tree():
     assert len(sels) == 4 + 3
 
 
+@pytest.mark.parametrize("generators,kept,hidden", [
+    (2, (22, 0), (1, 21)),
+    (4, (92, 0), (1, 91)),
+])
+def test_starlike_closure_escaping_the_region_is_skipped(generators, kept, hidden):
+    # without the frontier's true degrees, every closure but the one of the
+    # centre's star reaches a vertex of unknown degree and is skipped
+    record = gen_pq_ball(PQParams(7, 3), 2)
+    g = build_graph(record)
+    sels, skipped = enumerate_starlike_complete(g, generators)
+    assert (len(sels), skipped) == kept
+    for v in g.frontier_vertices:
+        del record["true_degree"][str(v)]
+    sels, skipped = enumerate_starlike_complete(build_graph(record), generators)
+    assert (len(sels), skipped) == hidden
+
+
 def test_starlike_enumeration_square_yields_block():
     g = build_graph(gen_pq_ball(PQParams(4, 4), 4))
     sels, _ = enumerate_starlike_complete(g, 4)
