@@ -4,13 +4,12 @@ Every analysis command takes one path, `_analyze`: read the interchange
 file once, build the graph, run the command's function from `_ANALYSES`
 (graph, family block, args -> result, exit code) and emit one canonical
 report.  A function returns the library's result as it is (brackets,
-bounds, violations, Fractions, tuples) and `_emit` writes it with
+bounds, violations, Fractions, Surds, tuples) and `_emit` writes it with
 `reports.jsonable`; only `faces` and `curvature` write their own results,
 quantity by quantity with `reports.value_json`.  Budgeted commands find
-their `Budget` in ``args.budget`` and echo it with ``--tolerance``, a
-finite float of at least 0.  Generator commands write interchange files;
-`witness` loads its optional input the same way.  Each command takes only
-the flags it reads.  Enumeration runs in one process; ``--workers`` is
+their `Budget` in ``args.budget`` and echo it.  Generator commands write
+interchange files; `witness` loads its optional input the same way.  Each
+command takes only the flags it reads.  Enumeration runs in one process; ``--workers`` is
 accepted by alpha and compare but changes nothing, so identical inputs and
 budgets produce byte-identical reports.
 
@@ -56,6 +55,7 @@ from .isoperimetry import (
     equilateral_transform,
     lower_bounds,
 )
+from .rational import Surd
 from .reports import value_json
 
 EXIT_OK = 0
@@ -64,23 +64,15 @@ EXIT_BUDGET = 3
 EXIT_MALFORMED = 4
 
 
-def _at_least(kind: type, least: int):
-    """An argparse type: a finite ``kind`` of at least ``least``."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {kind.__name__} value: {text!r}") from None
-        if not least <= value < math.inf:  # also false for nan
-            raise argparse.ArgumentTypeError(
-                f"must be finite and at least {least}, got {text}")
-        return value
-    return parse
-
-
-_positive_int = _at_least(int, 1)
-_tolerance = _at_least(float, 0)
+def _positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
 
 
 def _int_or_inf(text: str) -> int | float:
@@ -116,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=Budget.max_generators, metavar="N")
             p.add_argument("--max-yield", type=_positive_int,
                            default=Budget.max_yield, metavar="N")
-            p.add_argument("--tolerance", type=_tolerance, default=1e-12,
-                           metavar="X")
         if name in _WORKERS:
             p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
                            help="accepted for compatibility; enumeration runs "
@@ -254,7 +244,7 @@ def _alpha(g: MetricGraph, family, args) -> tuple[AlphaBracket, int]:
     return _bracket(g, family, args), EXIT_OK
 
 
-def _comb(g: MetricGraph, family, args) -> tuple[dict, Fraction | float | None]:
+def _comb(g: MetricGraph, family, args) -> tuple[dict, Fraction | Surd | None]:
     """The comb-alpha result and the family's closed-form alpha_comb."""
     res = alpha_comb_upper_bruteforce(g, args.budget)
     closed = families.family_comb_closed_form(family)
@@ -277,8 +267,7 @@ def _compare(g: MetricGraph, family, args) -> tuple[dict, int]:
     combmetric = None
     if closed is not None and all(ell == 1 for ell in g.length.values()):
         transformed = equilateral_transform(closed)
-        matches = None if exact is None else \
-            abs(float(transformed) - float(exact)) <= args.tolerance
+        matches = None if exact is None else transformed == exact
         combmetric = {"alpha_comb": closed, "transformed": transformed,
                       "matches_alpha_exact": matches}
     return {
@@ -312,8 +301,7 @@ def _analyze(args) -> int:
         args.budget = Budget(max_edges=args.budget_edges,
                              max_generators=args.budget_generators,
                              max_yield=args.max_yield)
-        echo = {"budget": dataclasses.asdict(args.budget),
-                "tolerance": args.tolerance}
+        echo = {"budget": dataclasses.asdict(args.budget)}
     result, code = _ANALYSES[args.command][1](g, family, args)
     _emit(args, result, data, family, **echo)
     return code

@@ -26,7 +26,7 @@ from .errors import (
 from .graphcore import MetricGraph, subgraph_stats
 from .interchange import make_record
 from .isoperimetry import Bound
-from .rational import _digit_limit, _too_long
+from .rational import Surd, _digit_limit, _too_long
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +438,15 @@ def gen_nonequilateral_tree(p: int, depth: int) -> dict:
 
 @dataclass(frozen=True)
 class PQClosedForms:
-    """Exact and floating closed forms for the (p, q) family.
+    """Exact closed forms for the (p, q) family.
 
-    alpha and alpha_comb are exact Fractions for q = infinity and floats
-    (tolerance ~1e-12) otherwise; delta is None when q is infinite or
-    c_{p,q} = 0.  alpha_lower is the exact curvature bound c_*/K =
-    q(p-2)c/(q(p-1)c + 1), which alpha attains at q = infinity;
+    For q = infinity every value is a Fraction and delta is None.  For a
+    finite q, with x = pq - 2(p + q) = pq c and s = sqrt(x(x + 4)) (Häggström,
+    Jonasson and Lyons, Ann. Probab. 2002), alpha_comb = ((p-2)/p) s/(x+4),
+    alpha = (p-2)/(p-1 + (p/2)(s/x - 1)) and delta = (s - x)/2 are
+    :class:`~isotess.rational.Surd` values of the one d = x(x + 4), each
+    the Fraction 0 when c = 0.  alpha_lower is the exact curvature bound
+    c_*/K = q(p-2)c/(q(p-1)c + 1), which alpha attains at q = infinity;
     alpha_comb_lower is the induced combinatorial bound
     ((p-2)/p)(1 - 2/((p-2)(q-2) - 2)).
     """
@@ -452,10 +455,10 @@ class PQClosedForms:
     q: int | float
     c: Fraction
     kappa: Fraction
-    alpha_comb: Fraction | float
-    alpha: Fraction | float
+    alpha_comb: Fraction | Surd
+    alpha: Fraction | Surd
     alpha_lower: Fraction
-    delta: float | None
+    delta: Fraction | Surd | None
     alpha_comb_lower: Fraction
 
 
@@ -464,21 +467,18 @@ def closed_forms_pq(params: PQParams) -> PQClosedForms:
     c = params.char_value
     kappa = -Fraction(p, 2) * c
     if params.is_tree:
-        alpha_comb: Fraction | float = Fraction(p - 2, p)
-        alpha: Fraction | float = Fraction(p - 2, p - 1)
+        alpha_comb = Fraction(p - 2, p)
+        alpha = Fraction(p - 2, p - 1)
         alpha_lower = Fraction(p - 2, p - 1)
         delta = None
         alpha_comb_lower = Fraction(p - 2, p)
     else:
-        alpha_comb = (p - 2) / p * math.sqrt(1 - 4 / ((p - 2) * (q - 2)))
+        x = p * q - 2 * (p + q)  # = pq c
+        s = Surd(0, 1, x * (x + 4))  # x + 4 = (p-2)(q-2)
+        alpha_comb = Fraction(p - 2, p) * s / (x + 4)
+        alpha = (p - 2) / (p - 1 + Fraction(p, 2) * (s / x - 1)) if c else Fraction(0)
+        delta = (s - x) / 2
         alpha_lower = Fraction(q * (p - 2)) * c / (Fraction(q * (p - 1)) * c + 1)
-        x = p * q - 2 * (p + q)  # = pq * c
-        if c == 0:
-            alpha = 0.0
-            delta = None
-        else:
-            alpha = (p - 2) / (p - 1 + p / 2 * (math.sqrt((p - 2) * (q - 2) / x) - 1))
-            delta = x / 2 * (math.sqrt(1 + 4 / x) - 1)
         alpha_comb_lower = Fraction(p - 2, p) * (1 - Fraction(2, (p - 2) * (q - 2) - 2))
     return PQClosedForms(p=p, q=q, c=c, kappa=kappa, alpha_comb=alpha_comb,
                          alpha=alpha, alpha_lower=alpha_lower, delta=delta,
@@ -595,9 +595,9 @@ def _gk_tree_edges(graph: MetricGraph, k: int, root: int, l: int) -> list[int]:
 def _family_params(family) -> PQParams | GkParams | NETreeParams | None:
     """Generator parameters of a family block; None if absent or of unknown kind.
 
-    A non-object block, a missing or non-integer field (``q`` may be
-    "inf"), or a finite q whose product with p overflows a float, is
-    InputFormatError; a value the generator rejects raises its error.
+    A non-object block or a missing or non-integer field (``q`` may be
+    "inf") is InputFormatError; a value the generator rejects raises its
+    error.
     """
     if family is None:
         return None
@@ -607,12 +607,6 @@ def _family_params(family) -> PQParams | GkParams | NETreeParams | None:
     if kind == "pq":
         p = _int_field(family, "p")
         q = math.inf if family.get("q") == "inf" else _int_field(family, "q")
-        if q != math.inf:
-            try:
-                float(p * q)  # the closed forms of a finite q are floats of p, q and pq
-            except OverflowError:
-                raise InputFormatError("family pq: p * q too large for the "
-                                       "floating-point closed forms") from None
         return PQParams(p=p, q=q)
     if kind == "gk":
         return GkParams(k=_int_field(family, "k"))
@@ -645,9 +639,10 @@ def certified_lengths(family: dict | None) -> tuple[Fraction | None, Fraction | 
 def family_comb_closed_form(family: dict | None):
     """Certified alpha_comb of the underlying combinatorial graph, if known.
 
-    (p, q): ((p-2)/p) sqrt(1 - 4/((p-2)(q-2))); G_k: 0 (the half-plane
-    lattice already has vanishing combinatorial constant); non-equilateral
-    trees: the combinatorial graph is still the p-regular tree.
+    (p, q): ((p-2)/p) sqrt(1 - 4/((p-2)(q-2))), a Surd for a finite q;
+    G_k: 0 (the half-plane lattice already has vanishing combinatorial
+    constant); non-equilateral trees: the combinatorial graph is still the
+    p-regular tree.
     """
     params = _family_params(family)
     if isinstance(params, PQParams):

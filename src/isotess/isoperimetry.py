@@ -24,7 +24,6 @@ witnesses are those of the full scan.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -43,7 +42,7 @@ from .graphcore import (
     complete_closure,
     subgraph_stats,
 )
-from .rational import INF, scaled_sum
+from .rational import INF, Extended, Surd, scaled_sum
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class Bound:
     graph; observed/empirical bounds carry certified=False.
     """
 
-    value: Fraction | float
+    value: Extended | Surd
     provenance: str
     side: str  # "lower" | "upper"
     certified: bool
@@ -589,41 +588,28 @@ def lower_bounds(g: MetricGraph, report: CurvatureReport | None = None,
 @dataclass
 class AlphaBracket:
     bounds: list[Bound] = field(default_factory=list)
-    best_lower: Fraction | float | None = None
-    best_upper: Fraction | float | None = None
-    alpha_exact: Fraction | None = None
+    best_lower: Fraction | Surd | None = None
+    best_upper: Fraction | Surd | None = None
+    alpha_exact: Fraction | Surd | None = None
     restricted_alpha: dict | None = None
     cheeger: dict | None = None
 
 
-def cheeger_interval(alpha: Fraction | float, ell_min: Fraction
-                     ) -> tuple[Fraction | float, float]:
-    """(alpha^2/4, pi^2 alpha / (2 ell_min)): the lambda_0 bracket.
+def cheeger_interval(alpha: Fraction | Surd, ell_min: Fraction
+                     ) -> tuple[Fraction | Surd, Fraction | Surd]:
+    """(alpha^2/4, (355/113)^2 alpha / (2 ell_min)): the lambda_0 bracket.
 
-    The upper end is the float expression below.  Where that raises, alpha
-    or ell_min being outside the float range, or gives less than the least
-    normal float for a positive alpha, it is the exact alpha / (2 ell_min)
-    times (355/113)^2 > pi^2, rounded up to a float: ``inf`` beyond the
-    largest one.
+    The exact upper end replaces pi^2 by (355/113)^2 > pi^2, so it bounds
+    pi^2 alpha / (2 ell_min) from above; both ends are of alpha's type.
     """
     if ell_min <= 0:
         raise NonPositiveEllMin(f"ell_min = {ell_min}")
     if alpha < 0:
         raise OutOfRange(f"alpha = {alpha} < 0")
-    lower = alpha * alpha / 4
-    try:
-        upper = math.pi ** 2 * float(alpha) / (2 * float(ell_min))
-    except (OverflowError, ZeroDivisionError):
-        upper = None
-    if upper is None or (alpha > 0 and upper < sys.float_info.min):
-        exact = Fraction(alpha) / (2 * ell_min) * Fraction(355, 113) ** 2
-        upper = float(exact) if exact <= sys.float_info.max else INF
-        if upper < exact:
-            upper = math.nextafter(upper, INF)
-    return lower, upper
+    return alpha * alpha / 4, alpha / (2 * ell_min) * Fraction(355, 113) ** 2
 
 
-def equilateral_transform(alpha_comb: Fraction | float) -> Fraction | float:
+def equilateral_transform(alpha_comb: Fraction | Surd) -> Fraction | Surd:
     """alpha = 2 a / (a + 1) for equilateral graphs, a = alpha_comb."""
     if not 0 <= alpha_comb <= 1:
         raise OutOfRange(f"alpha_comb = {alpha_comb} outside [0, 1]")
@@ -641,7 +627,9 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
     lower bound on alpha_S (or alpha) reaches a certified 2/ell*, alpha
     equals 2/ell* exactly and the bracket collapses.  For genuinely finite
     graphs alpha is trivially 0 (the whole graph has empty boundary) and
-    the infimum over proper subgraphs is reported separately.  ``workers``
+    the infimum over proper subgraphs is reported separately.  A best
+    certified lower bound above the best certified upper bound, such as a
+    family's alpha > 0 on a finite graph, is OutOfRange.  ``workers``
     selects nothing, as in :func:`alpha_upper_bruteforce`.
     """
     budget = budget or Budget()
@@ -706,9 +694,12 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
                   if b.side == "upper" and b.certified and b.target == "alpha"]
     bracket.best_lower = max(cert_lower) if cert_lower else None
     bracket.best_upper = min(cert_upper) if cert_upper else None
+    if bracket.best_lower is not None and bracket.best_upper is not None \
+            and bracket.best_lower > bracket.best_upper:
+        raise OutOfRange("the best certified lower bound exceeds the best "
+                         "certified upper bound")
     if bracket.alpha_exact is None and bracket.best_lower is not None \
-            and bracket.best_lower == bracket.best_upper \
-            and isinstance(bracket.best_lower, Fraction):
+            and bracket.best_lower == bracket.best_upper:
         bracket.alpha_exact = bracket.best_lower
 
     ell_min = certified_ell_min if certified_ell_min is not None else report.ell_min

@@ -12,6 +12,10 @@ the lcm of its own terms, and no scale is stored for the whole graph.
 Unbounded tile perimeters are represented by ``INF`` (the float
 infinity), and every reciprocal taken through :func:`reciprocal` obeys
 the convention 1/inf == 0 exactly.
+
+The closed forms of the (p, q) family are not rational: each lies in one
+quadratic field Q(sqrt(d)), and :class:`Surd` holds them exactly as
+a + b sqrt(d) over Fractions.
 """
 
 from __future__ import annotations
@@ -55,6 +59,113 @@ def scaled_sum(parts: Sequence[tuple[int, int]]) -> tuple[int, int]:
 def exact_sum(values: Iterable[Fraction]) -> Fraction:
     """The sum of ``values`` as one Fraction: :func:`scaled_sum`, normalised once."""
     return Fraction(*scaled_sum([(x.numerator, x.denominator) for x in values]))
+
+
+class Surd:
+    """An exact a + b*sqrt(d): Fractions a and b != 0, an int d > 0 not a square.
+
+    ``Surd(a, b, d)`` returns the Fraction a + b*sqrt(d) instead when b is 0
+    or d is a square, so every Surd is irrational.  Sums, products and
+    quotients with ints, Fractions and Surds of the same d stay exact, and
+    so do comparisons, in either operand order; the sign of a + b*sqrt(d)
+    with a and b of opposite signs is the sign of the larger of a^2 and
+    b^2 d.  Mixing two values of different d is a ValueError.  ``str``
+    writes the one string that :mod:`isotess.reports` defines.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, a, b, d: int):
+        a, b = Fraction(a), Fraction(b)
+        root = math.isqrt(d)
+        if not b or root * root == d:
+            return a + b * root
+        self = super().__new__(cls)
+        self.a, self.b, self.d = a, b, d
+        return self
+
+    def _parts(self, other) -> tuple | None:
+        """(a, b) of ``other`` over this d; None for a type it does not mix with."""
+        if isinstance(other, Surd):
+            if other.d != self.d:
+                raise ValueError(f"sqrt({self.d}) and sqrt({other.d}) in one expression")
+            return other.a, other.b
+        if isinstance(other, (int, Fraction)):
+            return Fraction(other), 0
+        return None
+
+    def __add__(self, other):
+        o = self._parts(other)
+        return NotImplemented if o is None else Surd(self.a + o[0], self.b + o[1], self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Surd(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        o = self._parts(other)
+        return NotImplemented if o is None else Surd(self.a - o[0], self.b - o[1], self.d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        a, b = o
+        return Surd(self.a * a + self.b * b * self.d, self.a * b + self.b * a, self.d)
+
+    __rmul__ = __mul__
+
+    def _inverse(self):
+        norm = self.a * self.a - self.b * self.b * self.d  # nonzero: d is not a square
+        return Surd(self.a / norm, -self.b / norm, self.d)
+
+    def __truediv__(self, other):
+        o = self._parts(other)
+        return NotImplemented if o is None else self * (1 / Surd(o[0], o[1], self.d))
+
+    def __rtruediv__(self, other):
+        return self._inverse() * other
+
+    def _sign(self) -> int:
+        a, b = self.a, self.b
+        sign_a, sign_b = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sign_a * sign_b >= 0:
+            return sign_b
+        return sign_a if a * a > b * b * self.d else sign_b
+
+    def _compare(self, other, signs: tuple[int, ...]):
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
+            return diff
+        return (diff._sign() if isinstance(diff, Surd) else (diff > 0) - (diff < 0)) in signs
+
+    def __eq__(self, other):
+        return self._compare(other, (0,))
+
+    def __lt__(self, other):
+        return self._compare(other, (-1,))
+
+    def __le__(self, other):
+        return self._compare(other, (-1, 0))
+
+    def __gt__(self, other):
+        return self._compare(other, (1,))
+
+    def __ge__(self, other):
+        return self._compare(other, (0, 1))
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
+
+    def __str__(self):
+        return f"{self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*sqrt({self.d})"
+
+    def __repr__(self):
+        return f"Surd('{self}')"
 
 
 def _digit_limit() -> int:
@@ -102,8 +213,8 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     raise ValueError(f"not a rational: {text!r}")
 
 
-def format_extended(x: Extended | None) -> str:
-    """Serialize as "p/q" / "p", "inf", or "indeterminate" for None."""
+def format_extended(x: Extended | Surd | None) -> str:
+    """Serialize as "p/q" / "p", a Surd's string, "inf", or "indeterminate" for None."""
     if x is None:
         return "indeterminate"
     if is_inf(x):

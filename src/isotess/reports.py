@@ -1,12 +1,16 @@
-"""Report records: canonical JSON with exact rationals as "p/q" strings.
+"""Report records: canonical JSON with exact values as strings.
 
-A report writes every value by one rule.  Exact values are "p/q" strings
-("p" when whole); infinity is "inf"; a quantity that depends on hidden
-data (a vertex or tile next to the frontier) is "indeterminate"; an
-absent field is null.  Besides counts, ids and the echoed budget, JSON
-numbers appear only for the float closed forms, the Cheeger upper end
-(and the lower end when a float closed form is the best lower bound) and
-the echoed tolerance.  Tuples are written as lists.
+A report writes every value by one rule.  A rational is a "p/q" string
+("p" when whole).  A quadratic irrational a + b*sqrt(d), a
+:class:`~isotess.rational.Surd` (the closed forms of the (p, q) family
+and what is computed from them), is one string "A+B*sqrt(d)" or
+"A-B*sqrt(d)": A is a, written as a rational, B is |b| written as a
+rational, d is the decimal integer under the root, and there are no
+spaces, so alpha of (7, 3) is "-5/22+7/22*sqrt(5)".  Infinity is "inf";
+a quantity that depends on hidden data (a vertex or tile next to the
+frontier) is "indeterminate"; an absent field is null.  JSON numbers
+appear only for counts, ids and the echoed budget, and a finite float is
+refused.  Tuples are written as lists.
 :func:`value_json` writes one quantity, where None means indeterminate;
 :func:`jsonable` writes a whole library result, where None means absent.
 
@@ -23,40 +27,42 @@ from pathlib import Path
 
 from .errors import OutOfRange
 from .interchange import canonical_json
-from .rational import INF, format_extended
+from .rational import INF, Surd, format_extended
 
 SCHEMA_VERSION = 1
 
 
-def value_json(x) -> str | int | float:
-    """Fractions, infinity and None (indeterminate) as strings; ints and
-    finite floats as themselves.
+def value_json(x) -> str | int:
+    """Fractions, Surds, infinity and None (indeterminate) as strings;
+    ints as themselves; anything else, a finite float included, is a
+    TypeError.
 
     OutOfRange for a value with more digits than Python writes
     (``sys.get_int_max_str_digits()``).
     """
     try:
-        if x is None or isinstance(x, Fraction):
+        # None and Fraction first: curvature reports write one per edge
+        if x is None or isinstance(x, Fraction) or isinstance(x, Surd) or x == INF:
             return format_extended(x)
     except ValueError:
         raise OutOfRange(f"a report value has more than "
                          f"{sys.get_int_max_str_digits()} digits") from None
-    if isinstance(x, (int, float)):
-        return format_extended(x) if x == INF else x
+    if isinstance(x, int):
+        return x
     raise TypeError(f"unexpected value {x!r}")
 
 
 def jsonable(x):
     """A library result as a report writes it.
 
-    Fractions and floats go through :func:`value_json`, a dataclass
+    Fractions, Surds and floats go through :func:`value_json`, a dataclass
     becomes the dict of its fields, tuples and lists become lists and
     dicts keep their keys, each item converted; None stays null, and
     strings, ints and bools stay as they are.
     """
     if x is None or isinstance(x, (str, int)):
         return x
-    if isinstance(x, (Fraction, float)):
+    if isinstance(x, (Fraction, Surd, float)):
         return value_json(x)
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
@@ -70,7 +76,7 @@ def jsonable(x):
 def make_report(command: str, result: dict, *, input_bytes: bytes | None = None,
                 family: dict | None = None, **echo) -> dict:
     """The report of ``command``; ``echo`` holds the settings it echoes
-    (budget and tolerance), written beside ``result``."""
+    (the budget), written beside ``result``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "isotess",

@@ -321,8 +321,8 @@ def test_witness_digit_limit(tmp_path, capsys, l, code):
 @pytest.mark.parametrize("lengths", ["one 1e-400", "all 1e400"])
 def test_lengths_outside_float_range(tmp_path, capsys, lengths):
     # exact lengths below the least positive float or above the largest
-    # one: every analysis command succeeds, and the Cheeger upper end
-    # falls back to the exact ratio where the float expression raises
+    # one: every analysis command succeeds, and the Cheeger upper end is
+    # exact, here the finite graph's 0
     which, length = lengths.split()
     record = k4_record()
     for item in record["edges"][:1] if which == "one" else record["edges"]:
@@ -337,7 +337,7 @@ def test_lengths_outside_float_range(tmp_path, capsys, lengths):
         result = json.loads(out)["result"]
         if command in ("alpha", "compare"):
             bracket = result["alpha"] if command == "compare" else result
-            assert bracket["cheeger"]["lambda0_upper"] == 0.0
+            assert bracket["cheeger"]["lambda0_upper"] == "0"
             assert bracket["cheeger"]["ell_min"] == str(parse_rational(length))
 
 
@@ -575,21 +575,32 @@ def test_malformed_record_exit_code(tmp_path, capsys, mutate):
     ({"kind": "pq", "p": 7, "q": "inf"}, 0),
     ({"kind": "mystery"}, 0),
     (None, 0),
-    # the float closed forms would overflow
-    ({"kind": "pq", "p": 10**400, "q": 3}, 4),
-    ({"kind": "pq", "p": 7, "q": 10**400}, 4),
+    # exact closed forms of a huge p or q, written as they are
+    ({"kind": "pq", "p": 10**400, "q": 3}, 0),
+    ({"kind": "pq", "p": 7, "q": 10**400}, 0),
+    # a root of more digits than Python writes is out of range (exit 2)
+    ({"kind": "pq", "p": 10**2500, "q": 3}, 2),
 ])
 def test_family_block_exit_code(tmp_path, capsys, family, code):
     # malformed blocks are malformed input; values the generator rejects
-    # are its own errors; absent blocks and unknown kinds are ignored
+    # are its own errors; absent blocks and unknown kinds are ignored.  A
+    # pq block certifies alpha > 0, which K4, a finite graph with alpha = 0,
+    # contradicts: bounds and comb-alpha list the block's values, while
+    # alpha and compare refuse the bracket (exit 2)
     record = k4_record()
     record["family"] = family
     path = tmp_path / "k4.json"
     save(record, path)
+    claims = code == 0 and isinstance(family, dict) and family["kind"] == "pq"
     for command in ("alpha", "bounds", "compare", "comb-alpha"):
-        assert run([command, str(path), "--budget-edges", "3"]) == code, command
-        err = capsys.readouterr().err
+        want = 2 if claims and command in ("alpha", "compare") else code
+        assert run([command, str(path), "--budget-edges", "3"]) == want, command
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
         assert ("malformed input: family" in err) == (code == 4)
+        if want == 2 and code == 0:  # no report, one line on stderr
+            assert out == "" and err == ("OutOfRange: the best certified lower bound "
+                                         "exceeds the best certified upper bound\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -599,8 +610,11 @@ def test_family_block_exit_code(tmp_path, capsys, family, code):
     ["bounds", "g.json", "--budget-generators", "0"],
     ["comb-alpha", "g.json", "--max-yield", "0"],
     ["gen", "pq", "--p", "4", "--q", "abc", "--radius", "2", "--output", "g.json"],
+    # --tolerance is gone from every command
     *([command, "g.json", "--tolerance", value]
       for command in ("alpha", "compare") for value in ("nan", "inf", "1e400", "-1")),
+    *([command, "g.json", "--tolerance", "1e-12"]
+      for command in ("bounds", "comb-alpha")),
 ])
 def test_numeric_flags_below_one_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -628,100 +642,100 @@ REPORT_DIGESTS = {
         "faces": (0, "639e458280fca11ca962935166faa3436e9d040d4a5bd099e3135a7d3f320a9e"),
         "curvature": (0, "1b3a78c5e252905dd05d4848558cdb86615fc88e8976b934ceb97b627006f442"),
         "gauss-bonnet": (0, "e756893b8b92a3c807ea30aebeef8fabb2addb939c4d17cace1b3647c4b9c3cd"),
-        "bounds": (0, "0df543fae77ebd5b50443ebf0d0046ea63029d2b67e2dd6e7afa4a22d75eb065"),
-        "alpha": (0, "80721e36573ca0c48a57a05902007d3e241bbe4cb4e69a057a41416c12b90957"),
-        "comb-alpha": (0, "e6c4a173203cab7187f0c09965eaa2337eb4415c227f0cfefae864d5c278d00b"),
-        "compare": (0, "7d0a3c2d1bd3261a88e01157226bcf592f7d443dc2e30318a8cf55a3371f6c02"),
+        "bounds": (0, "6df0b9ec7c5e2dee41af7b1c119c42e7092bfad81efda286a9ebc6baba8eb1f7"),
+        "alpha": (0, "5618309484fea1d33f8d5b931aba326751d4ec021798589bf23262c0ac30f431"),
+        "comb-alpha": (0, "123bbf173020abaec0e24a4d3453c724d22d837f11412f86bd7ed6619e78ab0d"),
+        "compare": (0, "4fced93126cc878ad6c919ccf4c6121f0fcd09f758bd59f22bddde9318f89ab1"),
     },
     "W4": {
         "validate": (0, "3924a69425d7ecaf22646439b74e662d049b90858d0850c9edcbe40e1a61f187"),
         "faces": (0, "8e3e0641438599ce31c38872e3e2dd5e1084498550141c1142eec3ab6befecf2"),
         "curvature": (0, "f4e2ac099142c49d29d2cba554c3ebd5b41544c9cfa9da8c5221cc895eeb7ee6"),
         "gauss-bonnet": (0, "7540bdd6a8d6cf9f702628a39615abf181df7e8bc74681939c11fba6ce63b318"),
-        "bounds": (0, "5c3c64999ec212d19ef011f965c18791bc2b7696e7c01634a2fc112fa4eed534"),
-        "alpha": (0, "d3012c4cf283e53a92ab75d895b099f27553c040e90add00e2837367e6f311b1"),
-        "comb-alpha": (0, "a6926634f602ec01769b092bef73a659e748d3c8fc2cdafbe11bd96806c55be0"),
-        "compare": (0, "d9fcc510606d547466be932e7ff98596bb06cdbc2d29fdd88644e4d69bdab2b9"),
+        "bounds": (0, "f7f3b4f823f9b451434efec121a75c7c22d7b011e34b43b2c96906797659f677"),
+        "alpha": (0, "08163aa5886fe4f941facc647502c46170e1e39488b787749f0de2d366b7e624"),
+        "comb-alpha": (0, "c4ddb243f3849ca7652906548f294234176bae740a7467e9d2f0797d480fad37"),
+        "compare": (0, "f65ce90973023db986b8cd558314ea2ca89f144e39527ee108621334af8ddc94"),
     },
     "W5": {
         "validate": (0, "e79fb28a6595a8fb2526865313011fc6ce10c4441d1ffd043a0a8253c4bd8863"),
         "faces": (0, "b3eb98815931b58fe9428b04b141990efc51e92f0ac7a5cf4be875203f504c01"),
         "curvature": (0, "8e63e149350a6f359724de4fef29d6835c90d8e86997b7d83645d7c7094dc986"),
         "gauss-bonnet": (0, "9ea0ef030a0682b42861611cfb07ceae7595b07dc05d5c89d41ee0e66ebff1e3"),
-        "bounds": (0, "ff1ab8a73801f269927f1499f813245983a4281ee4c450f8a4bc72bd75749ddf"),
-        "alpha": (0, "b883f0de52dcbcec713f1284e5256de11e3c3a3e3a4bd9f9e1ac1676da790302"),
-        "comb-alpha": (0, "412a88a106cad0e8915df17f2356b04ebb6cab437d139e6f3c1f511b1bacfbd8"),
-        "compare": (0, "a71f91864d662a03aa6aa4fc104c73612d2674cfa9909561d1286b969214e319"),
+        "bounds": (0, "26cce2e495ee62c2c855cc918091c7ee8854cec17a972d889364a510c329df2f"),
+        "alpha": (0, "67425e487271cfbed107362b5372a855e36d7ed3a0e7c19123e63b1eba057f34"),
+        "comb-alpha": (0, "ff7b8203d8b84e2abd03ed58180b9e7de072bbb16bbd61f145d43e86fa879bc9"),
+        "compare": (0, "52e4d6740e732b2d49b094d03e8a516869122ef95d6dd618376be2f68f5b7ffd"),
     },
     "W6": {
         "validate": (0, "319a8e6d566bee157d24d1ddda962904accb7c3cad71246977f1923c408ef678"),
         "faces": (0, "8746dcd91c1df0fbfd11215733777a565d767ae06d34af1e26a75862371ca939"),
         "curvature": (0, "8bc71374863846fa2267ee72f1b882c5257327bc13d2416e788ee095a0326a90"),
         "gauss-bonnet": (0, "4f498379b23f802c81b14f209968178a6bd0c1127a88bc501474a0964d8fc448"),
-        "bounds": (0, "2f1977e451ea42c762b471023af9f809c94a06483d3051edd56bea8b987f8709"),
-        "alpha": (0, "28887549cbf415ccc56bf500e1080b954f88f6863b88c0fc0a7521b8a1eb2a15"),
-        "comb-alpha": (0, "829de229475cf3c8c372df1fedb15905e2876817b79a5dfde4ab29ddcecc0aa8"),
-        "compare": (0, "291463b853c344399367f0eec4e7ad5ad14e4b2af7c3f8cbdad9dcf96fbf37c6"),
+        "bounds": (0, "931391373e047341ae14d088df802b47c5035c9b506690dc14fb99653df3e86c"),
+        "alpha": (0, "6f1375f0ed7db8b81170cf8acaf3ac26d10a6c355489892cbf3f97a40d69103a"),
+        "comb-alpha": (0, "5d0abe2e1d6316ad713fff9db6ee8b7d3623a35f106c2d9e246db43f856453b9"),
+        "compare": (0, "34490519c5f50abe8f7d3b48d00e784724bdcca16f9f1597a82a704dacc7ac11"),
     },
     "trihex": {
         "validate": (0, "23dcc173f3c3a4de00bea150a00f5a44397388a70ceb5211c57d7f976460fc2d"),
         "faces": (0, "e3ed575bd8dde2aba415a7316f96e9c9227db2b4c87b99a9373b4db0de874db4"),
         "curvature": (0, "652fc923aca475dc6d23124124b162ea01290bfe1e28bebaa4f1aede0bbea1b4"),
         "gauss-bonnet": (0, "dbd8930d9a23137af582b41278c8bcdba074cb121aa0374d44c1a1619c142d67"),
-        "bounds": (0, "f46cc3869f53c1ae3c94a787b7c542d2945447ea7b6cfaf043b375412e74565c"),
-        "alpha": (0, "95726ffc857dde33244351497a5b382ce8b9fd14e2c661789fb8e135ed4befe5"),
-        "comb-alpha": (0, "32e1976c9221e2e865026b5c0613979f78b480201dc73fead486282f5787ed86"),
-        "compare": (0, "f69fbe8b6b51ffe487ab3e9127c751e67ee33ebe486f8f2dd1c64907d444558c"),
+        "bounds": (0, "233c0451792703bac741e1c992d924a5583211d59f5545cacfff0e1d122b8c73"),
+        "alpha": (0, "5128a775e301b51d50084e3cbb6edcf7861aef7d6807e103c77328094c63a349"),
+        "comb-alpha": (0, "07d90df07456c57a6243c142e1ecc2aff54fa81b04d81651de078f43adddfb0b"),
+        "compare": (0, "79bc204582cba0d15152d46bdbc75da19134fd16c47bf7aa821c4bb5f2b24b84"),
     },
     "tri": {
         "validate": (2, "1a16c746503039932dd4a95c35dea881a71989ecbe4128f73bc19c6b218fc033"),
         "faces": (0, "f0b0930220c85d6a51487d37c3de9e492d646362205a7b41c5777b16903417ec"),
         "curvature": (0, "5067d1f7dc7d9938e5c4390f78d3eed25222e4ecd4199bc231bbb07026665211"),
         "gauss-bonnet": (2, "e60e8a966dbcc0b3783eb7dda2cc9fe6b36267a764832d652128e2749b2c94d8"),
-        "bounds": (0, "8e333e4f568565a87651087a1bcc96666b9a4786839d62ef9fefbe8a3596063a"),
-        "alpha": (0, "e132030dc1646faa9f6497299ee625198be4d9ba0d87ee75af0f2563fb0bf690"),
-        "comb-alpha": (0, "2dd6e170630cd407482e8f805e04daa594693fcf24d7d06f7532092777772a85"),
-        "compare": (0, "8a5a88c4f1ddc744e5a6520812cbda2167c3334befcbb2244f59f7b95ac48978"),
+        "bounds": (0, "85f71c591d0d66fb0905784b9c9a90306ebc4055925c7f050e464a02e81d47b2"),
+        "alpha": (0, "f85dc034b876989ca7f5c803e0ef865b1ddecf4f93ac681c54a63b095ab2dbfb"),
+        "comb-alpha": (0, "5a204416dab2a184fc6e4cc8ef13a3a9f3642acc404b9b1be9d441e5a9ca93a5"),
+        "compare": (0, "41cc7524acf15ce2c270f746dae2568c9fcf0b171028831ad1431209a72a5e27"),
     },
     "pq44r2": {
         "validate": (0, "3c6c93785f335f68b04b0d2977017477cde6d2e5d0d22c76c7eab1dc5a2a4731"),
         "faces": (0, "a2883343718cf6ff277454648026a42fe29af37530cfd9e898a8f0fc47eb72b4"),
         "curvature": (0, "2c42bb638027500a3d5411245ad3aebac3b7d4e4d698cf60057098d8d4ad4aab"),
         "gauss-bonnet": (2, "efc83a5a82ca823df204590ee05bc025affe22faa4d9265dcc0679725e590502"),
-        "bounds": (0, "c6b7292edbe2a14dae75e88d32c83e4297aeee74b8d2f1c78e2ea5bafaadb256"),
-        "alpha": (0, "df395a79ca8502049bd456cb24fe9d5d38456023cb200996f399fbb6098ea7e9"),
-        "comb-alpha": (0, "0c3141b3696ef894060afb37ed730fb5f3dec414d5fb8b94770dfa034c7ab57f"),
-        "compare": (0, "2fd4dbcab79470e9d423858769acc7bb9dd3e97610ecba89d7140dc244e4b8cb"),
+        "bounds": (0, "f93f93ed85bde1d7568a1b07ce58cfaf79561c0c0f035e64034597888a7d9563"),
+        "alpha": (0, "404bbff3af2f349c015c86cd7f321ca2f89ec30cf67cc14592708c4d9fa2f0b9"),
+        "comb-alpha": (0, "848a5b26abaa1e8ce85e71e33ea3403d7cc09e3d3e4c8459cf2cde906f964c3a"),
+        "compare": (0, "772c05c6476edf3ed28cc6366403d1f36cdfdd3ae26ea15dcea2552b9214bb0c"),
     },
     "pq37r2": {
         "validate": (0, "5e06b75873f2193ba8f4908d64f72f609aa5ab0331523ef18f57998ea41303f1"),
         "faces": (0, "2306a58db055b9286a51c0317d4efef89af1f13671e2982562615772c023bcd5"),
         "curvature": (0, "d27d7badea2fd350f15db0fa61ed6fefdf8a5dca7999a55753ef87d98810dd1d"),
         "gauss-bonnet": (2, "73c4ad6ac2839f5749d3d178dd71d4ef44c1edf6958f1689d70f5c7bbb04ca37"),
-        "bounds": (0, "1c9c8dd03d189366e422e0c2552a11802df19642e1538c0625c6c8ab4a120d7f"),
-        "alpha": (0, "288bf68a9de14930a0dc45fe9c924ab882ecb9a4f9e900a9121862514f648165"),
-        "comb-alpha": (0, "b8fcbd6929f189377981cae595aaa3560e0f0330b2bcccab76ec4889154045a1"),
-        "compare": (0, "dc9ed4005fb58eacbdfb3e90d8f43eda680c3c3fd14e595dbbae5bee65def35f"),
+        "bounds": (0, "3184175df148303292c3d430d29efb9193e15c2978f615724c990347c40349cf"),
+        "alpha": (0, "849f72495583edd191c8cfc96abf3bb0c4fcb91e204753f8b71d98b166a954ef"),
+        "comb-alpha": (0, "fdb597e07ffaba121797c2aa1937253286d21f095f6ea583c460a5a6b8535673"),
+        "compare": (0, "45d328615128d9b7bbad9979e35e0d6242fc2854bb433e346a862fd7ebb14f66"),
     },
     "tree3r3": {
         "validate": (0, "e3e189c4395b78290d5ccc20b7100933ca62d61effb6124d8b77f0b21aa8453f"),
         "faces": (0, "b68804ac924f980d95862d3e60c267597782222d5d46b1553effe5d1f312a695"),
         "curvature": (0, "8518179262db4d79eebce5766f92cc0b6fcd05f507ecbbf1f0b8e8a4623ba7f3"),
         "gauss-bonnet": (2, "a6fe05957616208365b83858b4371e7dc2010dc63f4b9ce05171b30509f1be92"),
-        "bounds": (0, "6016429e2bb45a1586465ac4711ca8bb26c7312017d2ac98a66130ae76ac6af2"),
-        "alpha": (0, "8be199a2617b439a7220a16f8b9481760e6ef10925d9627915674dc816f500b8"),
-        "comb-alpha": (0, "5f3cf73bd09a648954c89511438344e90e38b3482ae9d9c0e49d1f74aa4fd03f"),
-        "compare": (0, "481a841894d78b105c218deda530f0612af4affb63d723415516875a2500794b"),
+        "bounds": (0, "aa587eef593e3e6615aecf6d3062b7ec35f8ea66ea524090ca23d637dc9e4fea"),
+        "alpha": (0, "6aeec7e6f3ddcbeef4b1789ce753ccb65a726654d591df286870a9bc97205e99"),
+        "comb-alpha": (0, "c578e398e6ce165ee21e4cc794b3f97d14e4a7749e6970970b15f15061bfd63e"),
+        "compare": (0, "2740ca3a9252689fd2039cda4ec48dc485a4ccc7d3d0fafe98abd29db327d449"),
     },
     "gk3": {
         "validate": (0, "8489d19a257e3c27b44ae858ecb718e9757b850df6452bedbf0dd83783cab50c"),
         "faces": (0, "723fcc22269693eab8edba1339aa209470168e1fad87bd7672d2fdb403a9586c"),
         "curvature": (0, "9bbb33e0f9d961b8a4608db842085fd0d0324fb2006d610ff68fed2629e9941c"),
         "gauss-bonnet": (2, "65c5134d004f7a6309f13f543955e020dfc23df345ff9aa0c5ea493bc29a63f8"),
-        "bounds": (0, "d3128e909217a06920ed30a41f4451558c91d22cb756bf294b363f079c33ff8b"),
-        "alpha": (0, "c5cb41e9a5ff9320e9522386ac0d86f685c1aedf396ed18805692a4664787a0f"),
-        "comb-alpha": (0, "6e5a66b3e6ae5d371a202e588c7b12af8185d7bbb13cc279a7e5f7c5bf6f0da2"),
-        "compare": (0, "f1aa9fb98bb7202d2b3fdeba622a092371d00bd7e6e0928c17f13a42a45a56cd"),
+        "bounds": (0, "2bfd72a498585a1dff7ab80c9dcc0bfa44ad53439099c7ad7c6e7d9f45e22635"),
+        "alpha": (0, "e5e200b50bb1b75987edd2f2766aaac07106ff27fde10515b173e084da013868"),
+        "comb-alpha": (0, "81c41b9cb52b9b946b90016f5a5c9b12b21bea49432d94cfc1c12109bff862d8"),
+        "compare": (0, "3ee1738db3c0a224066950ad5dbb66257421e5a08d3b498f79721ca4f8a2fb13"),
     },
     # seeded rational lengths, decimal strings among them (_relength)
     "W5-rational": {
@@ -729,24 +743,24 @@ REPORT_DIGESTS = {
         "faces": (0, "0d727963d64df4330768a2d73bb460ebef85003729f93d0756cb16df41bfcede"),
         "curvature": (0, "294d752109c147ab78658340c9a3fdd632b6fe8567160a5575c7012576316344"),
         "gauss-bonnet": (0, "36a983c609cf787b26c530d62730a6cae4b93d99b37c8fb84c45ddbe98420930"),
-        "bounds": (0, "ce3a4dc0d3680feac9814b7a6d049c78c9b6817c7dbc14c687334e9db909e697"),
+        "bounds": (0, "265b964eaef6ff2da6cfe8126e555a06a603beeece94db5130d2c91f6c8fb83b"),
     },
     "pq44r2-rational": {
         "validate": (0, "3f750885f0113fe1dfb4a69b020e9a122c7fa8bafa94099feeb693c55142bde6"),
         "faces": (0, "0e02c5eb2a3815f1d67b1a303d15bf0f3d78f8166681c6c35d9bcb435c9af77d"),
         "curvature": (0, "316901b6633f61d6094b93be0baaea9cf1b17d9c5d794b04e6f0f9529abb80d6"),
         "gauss-bonnet": (2, "cd5cb75c5ae372f370b1e09b359b230bd84873728d2cad2b830e51e412f24241"),
-        "bounds": (0, "0e8134eb5e285931d7440566a96b64e304274d5c05667fde85bf791381173509"),
+        "bounds": (0, "528201434a383b02f21362deb8993d6a442f7658eb606ec2aa059ee94dc197be"),
     },
     "netree63": {
         "validate": (0, "cfabcbe7918bce91aa603ef9bc29522b979776ca0a90844ff74941ef03f57fa7"),
         "faces": (0, "534e552b36af8d97e65d73a4cb9106f8cbfc8103a5233110b7063f0aafca150f"),
         "curvature": (0, "6002b4392e6ec96cd09f84608e9ffd28ad6fcfbf887b7b2f14046cbb9ba0710d"),
         "gauss-bonnet": (2, "c0e6c92832aaddeed821091e50178837ff53d27fa0ea77ad291aa395b974d231"),
-        "bounds": (0, "b81d2efec944279dea932df5e83489f062394158fbe50a45d2ccac5f2cc93da3"),
-        "alpha": (0, "5891cc807fed7b9b66e91b3637c53f4c9fd89ea4b82669ac34031b9645386e1f"),
-        "comb-alpha": (0, "f9b03201d05c80d86344e95f0fe4f823405d7847c55f44868fe43112b9b7a25f"),
-        "compare": (0, "b1a5fcfd5e1a90e506318d868b9ddff98a73553c93f299cd0a4767c4a287dea3"),
+        "bounds": (0, "39de64e0189635696fb8ecfb35c167deb93a69000d685ac14afc43cee8b8435c"),
+        "alpha": (0, "f4bee474f0a11f04f33876771354fc9e813573ef3665b3a2898813b0a11de05b"),
+        "comb-alpha": (0, "9eeaa0c9d7f564a6f2c0a7601cf4a8c4c206922bd12e1d5902bdd0803c5c8d53"),
+        "compare": (0, "71df2aeed4794f03c778e1d8df13411ef5a1f7ac754644530ff2f3d3cd7e5aef"),
     },
 }
 
@@ -790,6 +804,10 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not standard JSON")
 
 
+def _reject_float(token):
+    raise ValueError(f"{token}: a report holds no float")
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
 def test_report_digests_pinned(pinned_inputs, capsys, name):
     capsys.readouterr()
@@ -803,7 +821,8 @@ def test_report_digests_pinned(pinned_inputs, capsys, name):
         got[command] = (code, hashlib.sha256(text.encode("utf-8")).hexdigest())
         # the canonical writer is json.dumps(sort_keys=True, indent=2); a
         # report is standard JSON, with no NaN or Infinity token
-        parsed = json.loads(text, parse_constant=_reject_constant)
+        parsed = json.loads(text, parse_constant=_reject_constant,
+                            parse_float=_reject_float)
         assert canonical_json(parsed) + "\n" == text, command
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text, command
     assert got == REPORT_DIGESTS[name]

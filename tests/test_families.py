@@ -26,6 +26,7 @@ from isotess.families import (
 )
 from isotess.graphcore import build_graph, subgraph_stats, validate_tessellation
 from isotess.interchange import dumps_record, load_record, save
+from isotess.rational import Surd
 
 
 def test_pq_params_validation():
@@ -189,7 +190,8 @@ def test_closed_forms_zero_cases():
     for p, q in [(4, 4), (3, 6), (6, 3)]:
         f = closed_forms_pq(PQParams(p, q))
         assert f.c == 0 and f.kappa == 0 and f.alpha_lower == 0
-        assert f.alpha_comb == 0 and f.alpha == 0
+        assert f.alpha_comb == 0 and f.alpha == 0 and f.delta == 0
+        assert all(type(x) is Fraction for x in (f.alpha_comb, f.alpha, f.delta))
         assert f.alpha_comb_lower == 0
 
 
@@ -216,7 +218,9 @@ def test_alpha_lower_equals_c_over_K_grid():
 def test_closed_forms_45():
     f = closed_forms_pq(PQParams(4, 5))
     assert f.alpha_lower == Fraction(2, 5)
-    assert abs(f.alpha - 2 / (1 + 2 * math.sqrt(3))) < 1e-12
+    # d = x(x + 4) = 12 for (4, 5), so sqrt(12) = 2 sqrt(3)
+    assert f.alpha == 2 / (1 + Surd(0, 1, 12))
+    assert str(f.alpha) == "-2/11+2/11*sqrt(12)"
     assert f.alpha_lower <= f.alpha
     assert f.delta is not None and f.delta <= 1
 
@@ -231,7 +235,7 @@ def test_delta_at_most_one_grid():
                 continue
             f = closed_forms_pq(params)
             if f.delta is not None:
-                assert f.delta <= 1 + 1e-15, (p, q)
+                assert f.delta <= 1, (p, q)
 
 
 def test_family_metadata_helpers():

@@ -1,9 +1,9 @@
 """Enumeration oracles, brute-force bounds, bracket assembly."""
 
+import dataclasses
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +19,7 @@ from isotess.families import (
 )
 from isotess.graphcore import build_graph, classify_subgraph, subgraph_stats
 from isotess.isoperimetry import (
+    Bound,
     Budget,
     alpha_bracket,
     alpha_comb_upper_bruteforce,
@@ -29,6 +30,7 @@ from isotess.isoperimetry import (
     equilateral_transform,
     lower_bounds,
 )
+from isotess.rational import Surd
 
 from conftest import finite_corpus, k4_record
 
@@ -424,7 +426,7 @@ def test_bracket_tree_collapses():
                        certified_ell_min=Fraction(1))
     assert br.alpha_exact == Fraction(1, 2)
     assert br.cheeger["lambda0_lower"] == Fraction(1, 16)
-    assert abs(br.cheeger["lambda0_upper"] - math.pi ** 2 / 4) < 1e-12
+    assert br.cheeger["lambda0_upper"] == PI2_UPPER / 4
 
 
 def test_bracket_consistency_certified():
@@ -443,16 +445,37 @@ def test_bracket_consistency_certified():
             assert br.best_lower <= br.best_upper
 
 
+def test_bracket_refuses_lower_above_upper():
+    # a certified family lower bound of 3 on a tree of ell* = 1, where
+    # alpha <= 2/ell* = 2: the bracket would contradict itself
+    record = gen_pq_ball(PQParams(3, math.inf), 2)
+    claim = Bound(value=Fraction(3), provenance="closed_form", side="lower",
+                  certified=True)
+    with pytest.raises(OutOfRange, match="lower bound exceeds"):
+        alpha_bracket(build_graph(record), Budget(max_edges=2),
+                      family_bounds=[claim], certified_ell_star=Fraction(1))
+    # at 2/ell* the claim pins alpha instead
+    br = alpha_bracket(build_graph(record), Budget(max_edges=2),
+                       family_bounds=[dataclasses.replace(claim, value=Fraction(2))],
+                       certified_ell_star=Fraction(1))
+    assert br.alpha_exact == br.best_lower == br.best_upper == 2
+
+
 # --- scalar helpers ----------------------------------------------------------
 
+# (355/113)^2 > pi^2: the factor of the exact Cheeger upper end
+PI2_UPPER = Fraction(355, 113) ** 2
+
+
 def test_cheeger_interval_values():
-    assert cheeger_interval(Fraction(0), Fraction(1)) == (0, 0.0)
-    lo, hi = cheeger_interval(Fraction(1, 2), Fraction(1))
-    assert lo == Fraction(1, 16)
-    assert abs(hi - math.pi ** 2 / 4) < 1e-12
-    lo, hi = cheeger_interval(Fraction(2, 6), Fraction(1))
-    assert lo == Fraction(1, 36)
-    assert abs(hi - math.pi ** 2 / 6) < 1e-12
+    assert cheeger_interval(Fraction(0), Fraction(1)) == (0, 0)
+    assert cheeger_interval(Fraction(1, 2), Fraction(1)) == (Fraction(1, 16), PI2_UPPER / 4)
+    assert cheeger_interval(Fraction(2, 6), Fraction(1)) == (Fraction(1, 36), PI2_UPPER / 6)
+    # alpha of (7, 3): both ends lie in Q(sqrt(5)), squared exactly
+    alpha = Surd(Fraction(-5, 22), Fraction(7, 22), 5)
+    lo, hi = cheeger_interval(alpha, Fraction(1))
+    assert lo == Surd(Fraction(135, 968), Fraction(-35, 968), 5) == alpha * alpha / 4
+    assert hi == alpha / 2 * PI2_UPPER and type(hi) is Surd
 
 
 @pytest.mark.parametrize("alpha,ell_min", [
@@ -460,32 +483,16 @@ def test_cheeger_interval_values():
     (Fraction(1, 10**300), Fraction(1, 10**400)),  # float(ell_min) is 0.0
     (Fraction(10**300), Fraction(10**310)),        # float(ell_min) overflows
     (Fraction(1, 10**400), Fraction(10**400)),     # below the least positive float
-    (Fraction(1), Fraction(1, 10**400)),           # above the largest float: inf
-    (Fraction(1, 10**400), Fraction(1)),           # float expression gives 0.0
-    (Fraction(1, 10**300), Fraction(10**10)),      # float expression is subnormal
+    (Fraction(1), Fraction(1, 10**400)),           # above the largest float
+    (Fraction(1, 10**400), Fraction(1)),           # a float would give 0.0
+    (Fraction(1, 10**300), Fraction(10**10)),      # a float would be subnormal
 ])
 def test_cheeger_upper_outside_float_range(alpha, ell_min):
-    # the exact alpha / (2 ell_min) (355/113)^2, rounded up to the next float
-    exact = alpha / (2 * ell_min) * Fraction(355, 113) ** 2
+    # one exact path for every alpha and ell_min: alpha / (2 ell_min) (355/113)^2
     lo, hi = cheeger_interval(alpha, ell_min)
-    assert lo == alpha * alpha / 4
-    assert type(hi) is float
-    if hi == math.inf:
-        assert exact > Fraction(sys.float_info.max)
-    else:
-        assert Fraction(hi) >= exact > Fraction(math.nextafter(hi, -math.inf))
-    assert exact > Fraction(math.pi ** 2) * alpha / (2 * ell_min)
-
-
-@pytest.mark.parametrize("alpha,ell_min", [
-    (Fraction(1, 2), Fraction(1)),
-    (Fraction(0), Fraction(3)),
-    (0.4842034473862967, Fraction(1)),
-    (Fraction(1, 10**300), Fraction(1, 10**5)),
-])
-def test_cheeger_upper_in_float_range_keeps_float_expression(alpha, ell_min):
-    assert cheeger_interval(alpha, ell_min)[1] \
-        == math.pi ** 2 * float(alpha) / (2 * float(ell_min))
+    assert lo == alpha * alpha / 4 and type(lo) is Fraction
+    assert hi == alpha / (2 * ell_min) * PI2_UPPER and type(hi) is Fraction
+    assert hi > Fraction(math.pi ** 2) * alpha / (2 * ell_min) > 0
 
 
 def test_cheeger_rejects_bad_ell_min():
@@ -497,11 +504,11 @@ def test_cheeger_rejects_bad_ell_min():
 def test_equilateral_transform():
     assert equilateral_transform(Fraction(0)) == 0
     assert equilateral_transform(Fraction(1)) == 1
-    # (4,5): transform of the combinatorial closed form must agree with the
-    # independent metric closed form 2/(1 + 2*sqrt(3))
-    a = 0.5 * math.sqrt(1 / 3)
-    direct = 2 / (1 + 2 * math.sqrt(3))
-    assert abs(equilateral_transform(a) - direct) < 1e-9
+    # (4,5): transform of the combinatorial closed form (1/2) sqrt(1/3) must
+    # equal the independent metric closed form 2/(1 + 2 sqrt(3)), exactly;
+    # with sqrt(12) = 2 sqrt(3) both lie in Q(sqrt(12))
+    a = Surd(0, Fraction(1, 12), 12)
+    assert equilateral_transform(a) == 2 / (1 + Surd(0, 1, 12))
     with pytest.raises(OutOfRange):
         equilateral_transform(Fraction(3, 2))
 
@@ -521,8 +528,7 @@ def test_pq_bracket_consistency_with_closed_forms():
         g = build_graph(record)
         forms = closed_forms_pq(PQParams(p, q))
         brute = alpha_upper_bruteforce(g, Budget(max_edges=4))
-        assert float(forms.alpha_lower) <= float(forms.alpha) + 1e-12
-        assert float(forms.alpha) <= float(brute.bound.value) + 1e-12
+        assert forms.alpha_lower <= forms.alpha <= brute.bound.value
         ell_star, ell_min = certified_lengths(record["family"])
         br = alpha_bracket(g, Budget(max_edges=4),
                            family_bounds=family_bounds(record["family"]),

@@ -10,7 +10,7 @@ import pytest
 
 from isotess.errors import OutOfRange
 from isotess.isoperimetry import AlphaBracket, Bound
-from isotess.rational import INF
+from isotess.rational import INF, Surd
 from isotess.reports import jsonable, value_json
 
 
@@ -31,7 +31,8 @@ class Outer:
     (Fraction(3, 7), "3/7"),
     (Fraction(4), "4"),
     (INF, "inf"),
-    (0.4842034473862967, 0.4842034473862967),
+    pytest.param(Surd(Fraction(-5, 22), Fraction(7, 22), 5), "-5/22+7/22*sqrt(5)",
+                 id="surd"),
     (None, None),
     (12, 12),
     (True, True),
@@ -70,6 +71,13 @@ def test_none_is_null_in_a_result_and_indeterminate_as_a_quantity():
     assert jsonable({"x": None}) == {"x": None}
     assert value_json(None) == "indeterminate"
     assert value_json(7) == 7 and value_json(INF) == "inf"
+
+
+@pytest.mark.parametrize("x", [0.5, 0.0, -INF])
+def test_floats_other_than_inf_are_refused(x):
+    for convert in (jsonable, value_json):
+        with pytest.raises(TypeError):
+            convert(x)
 
 
 def test_more_digits_than_python_writes_is_out_of_range():
