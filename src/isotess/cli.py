@@ -45,6 +45,7 @@ from .errors import (
     GraphError,
     InputFormatError,
     NotFiniteTessellation,
+    OutOfRange,
 )
 from .graphcore import MetricGraph, validate_tessellation
 from .isoperimetry import (
@@ -229,6 +230,10 @@ def _bounds(g: MetricGraph, family, args) -> tuple[dict, int]:
         _certified_lengths(g, family)
     bounds = lower_bounds(g, budget=args.budget)
     bounds.extend(family_lower)
+    # a finite graph's alpha is 0 (the whole graph has empty boundary)
+    if g.is_frontier_free and any(b.value > 0 for b in bounds
+                                  if b.certified and b.target == "alpha"):
+        raise OutOfRange("a certified lower bound exceeds alpha = 0 of a finite graph")
     return {"bounds": bounds}, EXIT_OK
 
 
@@ -245,9 +250,12 @@ def _alpha(g: MetricGraph, family, args) -> tuple[AlphaBracket, int]:
 
 
 def _comb(g: MetricGraph, family, args) -> tuple[dict, Fraction | Surd | None]:
-    """The comb-alpha result and the family's closed-form alpha_comb."""
+    """The comb-alpha result and the family's closed-form alpha_comb;
+    OutOfRange when the closed form exceeds the enumerated upper bound."""
     res = alpha_comb_upper_bruteforce(g, args.budget)
     closed = families.family_comb_closed_form(family)
+    if closed is not None and closed > res.value:
+        raise OutOfRange("the closed-form alpha_comb exceeds the enumerated upper bound")
     return {"best_upper": res.value, "witness_vertices": res.witness_vertices,
             "enumerated": res.enumerated, "closed_form": closed}, closed
 

@@ -17,7 +17,8 @@ cross-multiplied); each result builds one Fraction, for the smallest
 ratio with the lexicographically smallest witness, so results do not
 depend on the visiting order.  The brute-force minimum over edge subsets
 bounds each batch from below and skips the batches that cannot beat or
-tie its best so far; skipped sets still count, so counts, values and
+tie its best so far, and where no set can close a vertex it bounds and
+skips whole subtrees; skipped sets still count, so counts, values and
 witnesses are those of the full scan.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .curvature import CurvatureReport, global_constants
@@ -107,25 +109,32 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
     share.
 
     ``skip(stack, j)``, when given, is asked once per set ``stack + [j]``
-    of max_size - 1 nodes, after that set is visited and before it is
-    grown: True means the caller needs none of its extensions, the sets
-    at the size limit grown from it.  They are then counted, and the
-    ``max_yield`` check runs on them as if they were emitted, but j is
-    not pushed and no emit is called for them.  The hook removes visits
-    only: the count and the order of the visits that remain are the same
-    as without it.
+    that can still grow (fewer than max_size nodes), after that set is
+    visited and before it is grown: True means the caller needs none of
+    the sets grown from it.  They are then counted, and the ``max_yield``
+    check runs on them as if they were emitted, but j is not pushed and
+    no push, pop, emit or skip is called for them.  The hook removes
+    visits only: the count and the order of the visits that remain are
+    the same as without it.
 
     Cost: only sets that can still grow are pushed.  The single nodes
     share one emit, and each pushed set hands all of its extensions to
-    one emit, or to none when skipped, so a set costs one emit, push and
-    pop when it is grown and nothing of its own when it is not.  The sets
-    at the size limit, most of the sets, cost no push, pop, touched mark,
-    slice or recursion.  An emit that would pass ``max_yield`` sets raises
+    one emit, so a set costs one emit, push and pop when it is grown and
+    nothing of its own when it is not.  The sets at the size limit, most
+    of the sets, cost no push, pop, touched mark, slice or recursion.  A
+    skipped set's subtree is counted by a walk in the same augmentation
+    that keeps no statistics: each of its sets two or more nodes below
+    the limit costs one call, a touched mark per fresh neighbour and one
+    expression that counts its extensions and theirs, and the sets one
+    node below the limit and at it cost nothing of their own; a skipped
+    set one node below the limit costs one sum over its neighbours.  An
+    emit or a count that would pass ``max_yield`` sets raises
     BudgetExceeded(message, max_yield + 1) before it runs, and a scan
     deeper than Python's recursion limit raises OutOfRange.  Returns the
     number of sets visited or skipped.
     """
     touched = bytearray(len(nbrs))
+    width = [len(near) for near in nbrs]
     stack: list[int] = []
     count = 0
 
@@ -135,14 +144,31 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
             raise _exceeded(max_yield)
         count += n
 
-    def skipped(j: int, later: int) -> bool:
-        # the extensions of stack + [j]: ``later`` nodes after j in its
-        # parent's list and j's neighbours no smaller set has reached
-        if skip is None or len(stack) + 2 != max_size or not skip(stack, j):
-            return False
-        near = nbrs[j]
-        counted(later + len(near) - sum(map(touched.__getitem__, near)))
-        return True
+    def grown(i: int, ext: list[int], later: int, size: int) -> None:
+        # count the sets grown from a set of ``size`` nodes that ends in i,
+        # in extend's order: they grow by the last ``later`` nodes of its
+        # parent's ``ext`` and by each neighbour of i no smaller set has
+        # reached, and so on down to the size limit
+        near = nbrs[i]
+        if size + 1 == max_size:
+            counted(later + width[i] - sum(map(touched.__getitem__, near)))
+            return
+        fresh = [j for j in near if not touched[j]]
+        ext = ext[len(ext) - later:] + fresh
+        for j in fresh:
+            touched[j] = 1
+        n = len(ext)
+        if size + 2 == max_size:
+            # the n extensions, then the extensions of each: the later
+            # nodes of ``ext`` and its neighbours no smaller set has reached
+            counted(n * (n + 1) // 2 + sum(map(width.__getitem__, ext)) - sum(
+                map(touched.__getitem__, chain.from_iterable(map(nbrs.__getitem__, ext)))))
+        else:
+            counted(n)
+            for k, j in enumerate(ext):
+                grown(j, ext, n - k - 1, size + 1)
+        for j in fresh:
+            touched[j] = 0
 
     def extend(i: int, ext: list[int]) -> None:
         # stack + [i] has been visited and can grow: push i, visit the sets
@@ -158,7 +184,9 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
             for j in fresh:
                 touched[j] = 1
             for k, j in enumerate(ext):
-                if not skipped(j, len(ext) - k - 1):
+                if skip is not None and skip(stack, j):
+                    grown(j, ext, len(ext) - k - 1, len(stack) + 1)
+                else:
                     extend(j, ext[k + 1:])
             for j in fresh:
                 touched[j] = 0
@@ -172,15 +200,18 @@ def _esu(nbrs: Sequence[Sequence[int]], max_size: int,
         if max_size > 1:
             for r in roots:
                 touched[r] = 1  # r stays touched: later roots never revisit it
-                if not skipped(r, 0):
+                if skip is not None and skip(stack, r):
+                    grown(r, [], 0, 1)
+                else:
                     extend(r, [])
     except RecursionError:
         raise OutOfRange(f"sets of up to {max_size} nodes nest deeper than "
                          f"Python's recursion limit") from None
     finally:
-        # extend refers to itself through its cell: without this the scan's
-        # closures, and whatever the callbacks hold, live until a collection
-        del extend
+        # extend and grown refer to themselves through their cells: without
+        # this the scan's closures, and whatever the callbacks hold, live
+        # until a collection
+        del extend, grown
     return count
 
 
@@ -226,10 +257,20 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
     ``stack[0]``, can change the caller's result.  Each emit checks this
     once, on the statistics of ``stack``; before a set of max_edges - 1
     edges is pushed, ``_esu``'s ``skip`` checks it for that set's leaves,
-    so a skipped leaf batch costs no push, pop or emit.  Skipped sets
-    still count, and the sets that are visited come in the same order, so
-    the return value and the ``max_yield`` boundary do not depend on the
-    hook.
+    so a skipped leaf batch costs no push, pop or emit.  Above that level
+    ``skip`` rules out a set's whole subtree, but only when no eligible
+    vertex of td >= 2 has td <= max_edges.  Then no set of the scan
+    closes a vertex, so each of the r edges still to add raises bd by at
+    least 1 + low and mes by at most ``top``, and every set r edges below
+    ``stack + [j]`` has ratio >= (bd' + r (1 + low)) / (mes' + r top),
+    with bd' and mes' those of ``stack + [j]``.  For r from 1 to R =
+    max_edges - |stack + [j]| these floors are mediants of the two at r
+    = 1 and r = R, so the subtree is skipped when ``_hopeless`` rules out
+    both; its sets are counted by ``_esu``'s walk, which calls no hook.
+    On other inputs ``skip`` answers False above the last level before
+    it reads a statistic.  Skipped sets still count, and the sets that
+    are visited come in the same order, so the return value and the
+    ``max_yield`` boundary do not depend on the hook.
     """
     edge_ids = sorted(eligible_edges if eligible_edges is not None
                       else g.frontier_free_edges())
@@ -296,14 +337,26 @@ def scan_connected_edge_subsets(g: MetricGraph, max_edges: int, visit: Callable,
             visit(stack, bd + rise[a][deg[a]] + rise[b][deg[b]], mes + lengths[j])
         stack.pop()
 
-    # the leaves of stack + [j], from the statistics of push(j) read
-    # without storing: a closer there rules the floor out
+    # the sets grown from stack + [j], up to r edges more, from the
+    # statistics of push(j) read without storing: at the last level a
+    # closer rules the floor out; above it the floor needs ``deep``, no
+    # vertex that a set of the scan can close
+    deep = not any(2 <= t <= max_edges for t in truedeg)
+
     def skip(stack: list[int], j: int) -> bool:
+        r = max_edges - len(stack) - 1
+        if r > 1 and not deep:
+            return False
         a, b = ends[j]
         da, db = deg[a], deg[b]
-        return not closers + close[a][da] + close[b][db] and _hopeless(
-            stack[0] if stack else j, bd + rise[a][da] + rise[b][db] + gain,
-            mes + lengths[j] + top)
+        first = stack[0] if stack else j
+        num = bd + rise[a][da] + rise[b][db]
+        den = mes + lengths[j]
+        if r == 1:
+            return not closers + close[a][da] + close[b][db] and _hopeless(
+                first, num + gain, den + top)
+        return _hopeless(first, num + gain, den + top) and _hopeless(
+            first, num + r * gain, den + r * top)
 
     return _esu(nbrs, max_edges, push, pop, emit, max_yield,
                 None if _hopeless is None else skip)

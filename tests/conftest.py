@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from isotess import isoperimetry
+from isotess.errors import BudgetExceeded
 from isotess.graphcore import build_graph, trace_faces
 
 
@@ -166,3 +169,42 @@ def random_tessellation():
     finally:
         sys.path.remove(str(bench))
     return module.random_tessellation
+
+
+def with_pendants(record: dict, rng: random.Random, count: int,
+                  onto: list[int] | None = None) -> None:
+    """Hang ``count`` edges of true degree 1 at their new end off random
+    vertices, of ``onto`` when given; a declared true degree of the old
+    end grows with it."""
+    rotation = {item["id"]: item["rotation"] for item in record["vertices"]}
+    declared = record.get("true_degree", {})
+    for _ in range(count):
+        v = rng.choice(onto if onto is not None else sorted(rotation))
+        if str(v) in declared:
+            declared[str(v)] += 1
+        x, f = len(rotation), len(record["edges"])
+        rotation[v].insert(rng.randrange(len(rotation[v]) + 1), f)
+        rotation[x] = [f]
+        record["vertices"].append({"id": x, "rotation": rotation[x]})
+        record["edges"].append({"id": f, "ends": [v, x], "length": "1"})
+
+
+def unpruned(monkeypatch):
+    """Make ``alpha_upper_bruteforce`` scan with the hook dropped."""
+    scan = isoperimetry.scan_connected_edge_subsets
+
+    def every_set(*args, **kwargs):
+        kwargs["_hopeless"] = None
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(isoperimetry, "scan_connected_edge_subsets", every_set)
+
+
+def bruteforce_outcome(g, budget, proper_only):
+    """(value, witness, count, note) of ``alpha_upper_bruteforce``, or
+    ("budget", yielded) when it raises BudgetExceeded."""
+    try:
+        res = isoperimetry.alpha_upper_bruteforce(g, budget, proper_only=proper_only)
+    except BudgetExceeded as exc:
+        return "budget", exc.yielded
+    return res.bound.value, res.bound.witness, res.enumerated, res.bound.note

@@ -584,23 +584,29 @@ def test_malformed_record_exit_code(tmp_path, capsys, mutate):
 def test_family_block_exit_code(tmp_path, capsys, family, code):
     # malformed blocks are malformed input; values the generator rejects
     # are its own errors; absent blocks and unknown kinds are ignored.  A
-    # pq block certifies alpha > 0, which K4, a finite graph with alpha = 0,
-    # contradicts: bounds and comb-alpha list the block's values, while
-    # alpha and compare refuse the bracket (exit 2)
+    # pq block certifies alpha > 0 and a closed-form alpha_comb > 0, which
+    # K4, a finite graph with alpha = 0 and a vertex set of cut 0,
+    # contradicts: every command refuses it (exit 2)
     record = k4_record()
     record["family"] = family
     path = tmp_path / "k4.json"
     save(record, path)
     claims = code == 0 and isinstance(family, dict) and family["kind"] == "pq"
-    for command in ("alpha", "bounds", "compare", "comb-alpha"):
-        want = 2 if claims and command in ("alpha", "compare") else code
+    bracket = "the best certified lower bound exceeds the best certified upper bound"
+    refusals = {
+        "alpha": bracket,
+        "bounds": "a certified lower bound exceeds alpha = 0 of a finite graph",
+        "compare": bracket,
+        "comb-alpha": "the closed-form alpha_comb exceeds the enumerated upper bound",
+    }
+    want = 2 if claims else code
+    for command, refusal in refusals.items():
         assert run([command, str(path), "--budget-edges", "3"]) == want, command
         out, err = capsys.readouterr()
         assert "Traceback" not in err
         assert ("malformed input: family" in err) == (code == 4)
-        if want == 2 and code == 0:  # no report, one line on stderr
-            assert out == "" and err == ("OutOfRange: the best certified lower bound "
-                                         "exceeds the best certified upper bound\n")
+        if claims:  # no report, one line on stderr
+            assert out == "" and err == f"OutOfRange: {refusal}\n", command
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,23 +26,12 @@ from fractions import Fraction
 import pytest
 
 from isotess import families, isoperimetry
-from isotess.errors import BudgetExceeded
 from isotess.graphcore import build_graph
 from isotess.isoperimetry import Budget, alpha_upper_bruteforce
 
+from conftest import bruteforce_outcome, unpruned, with_pendants
+
 SEEDS = [f"prune:{i}" for i in range(60)]
-
-
-def _with_pendants(record: dict, rng: random.Random, count: int) -> None:
-    """Hang ``count`` edges of true degree 1 at their new end off random vertices."""
-    rotation = {item["id"]: item["rotation"] for item in record["vertices"]}
-    for _ in range(count):
-        v = rng.choice(sorted(rotation))
-        x, f = len(rotation), len(record["edges"])
-        rotation[v].insert(rng.randrange(len(rotation[v]) + 1), f)
-        rotation[x] = [f]
-        record["vertices"].append({"id": x, "rotation": rotation[x]})
-        record["edges"].append({"id": f, "ends": [v, x], "length": "1"})
 
 
 def _graph(random_tessellation, seed):
@@ -53,27 +42,8 @@ def _graph(random_tessellation, seed):
         for item in record["edges"]:
             item["length"] = "1"
     if rng.random() < 0.3:
-        _with_pendants(record, rng, rng.randint(1, 4))
+        with_pendants(record, rng, rng.randint(1, 4))
     return build_graph(record)
-
-
-def _unpruned(monkeypatch):
-    """Make ``alpha_upper_bruteforce`` scan with the hook dropped."""
-    scan = isoperimetry.scan_connected_edge_subsets
-
-    def every_set(*args, **kwargs):
-        kwargs["_hopeless"] = None
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(isoperimetry, "scan_connected_edge_subsets", every_set)
-
-
-def _result(g, budget, proper_only):
-    try:
-        res = alpha_upper_bruteforce(g, budget, proper_only=proper_only)
-    except BudgetExceeded as exc:
-        return "budget", exc.yielded
-    return res.bound.value, res.bound.witness, res.enumerated, res.bound.note
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -81,10 +51,10 @@ def test_pruned_scan_matches_unpruned(random_tessellation, monkeypatch, seed):
     g = _graph(random_tessellation, seed)
     cases = [(Budget(max_edges=k), proper_only)
              for k in range(1, 7) for proper_only in (False, True)]
-    pruned = [_result(g, *case) for case in cases]
+    pruned = [bruteforce_outcome(g, *case) for case in cases]
     with monkeypatch.context() as m:
-        _unpruned(m)
-        full = [_result(g, *case) for case in cases]
+        unpruned(m)
+        full = [bruteforce_outcome(g, *case) for case in cases]
     for case, got, want in zip(cases, pruned, full):
         assert got == want, (seed, case)
 
@@ -93,13 +63,13 @@ def test_pruned_scan_matches_unpruned(random_tessellation, monkeypatch, seed):
 def test_pruned_scan_keeps_max_yield_boundary(random_tessellation, monkeypatch, max_edges):
     for seed in SEEDS[:5]:
         g = _graph(random_tessellation, seed)
-        total = _result(g, Budget(max_edges=max_edges), False)[2]
+        total = bruteforce_outcome(g, Budget(max_edges=max_edges), False)[2]
         for cap in (1, total // 3, total - 1, total):
             budget = Budget(max_edges=max_edges, max_yield=cap)
-            got = _result(g, budget, False)
+            got = bruteforce_outcome(g, budget, False)
             with monkeypatch.context() as m:
-                _unpruned(m)
-                want = _result(g, budget, False)
+                unpruned(m)
+                want = bruteforce_outcome(g, budget, False)
             assert got == want, (seed, max_edges, cap)
             assert (got[0] == "budget") == (cap < total), (seed, max_edges, cap)
 
