@@ -250,18 +250,19 @@ def _alpha(g: MetricGraph, family, args) -> tuple[AlphaBracket, int]:
 
 
 def _comb(g: MetricGraph, family, args) -> tuple[dict, Fraction | Surd | None]:
-    """The comb-alpha result and the family's closed-form alpha_comb;
-    OutOfRange when the closed form exceeds the enumerated upper bound."""
+    """The comb-alpha result and the family's closed-form alpha_comb."""
     res = alpha_comb_upper_bruteforce(g, args.budget)
     closed = families.family_comb_closed_form(family)
-    if closed is not None and closed > res.value:
-        raise OutOfRange("the closed-form alpha_comb exceeds the enumerated upper bound")
     return {"best_upper": res.value, "witness_vertices": res.witness_vertices,
             "enumerated": res.enumerated, "closed_form": closed}, closed
 
 
 def _comb_alpha(g: MetricGraph, family, args) -> tuple[dict, int]:
-    return _comb(g, family, args)[0], EXIT_OK
+    """OutOfRange when the closed form exceeds the enumerated upper bound."""
+    comb, closed = _comb(g, family, args)
+    if closed is not None and closed > comb["best_upper"]:
+        raise OutOfRange("the closed-form alpha_comb exceeds the enumerated upper bound")
+    return comb, EXIT_OK
 
 
 def _compare(g: MetricGraph, family, args) -> tuple[dict, int]:
