@@ -17,10 +17,11 @@ budgets produce byte-identical reports.
 restores the caller's setting afterwards.  Reference counting frees what a
 command builds, so the collections that the build's many tuples,
 frozensets and Fractions trigger reclaim nothing; on large inputs they took
-about a third of the parse/build time.  A command leaves one cycle
-whatever its input, the argparse parser, which the first collection after
-the command frees: each enumeration breaks its closure's cycle as it
-returns, so its closures and the generator sets they hold go at once.
+about a third of the parse/build time.  The argparse parser is built once,
+when this module is imported, and every `main` call parses with it, so a
+command leaves no cycle whatever its input: each enumeration breaks its
+closure's cycle as it returns, so its closures and the generator sets they
+hold go at once.
 
 Exit codes: 0 success, 2 validation violations / failed preconditions /
 usage errors, 3 enumeration budget exhausted (a hit ``--max-yield`` and
@@ -348,8 +349,7 @@ def _cmd_witness(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -368,6 +368,10 @@ def main(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
+
+
+# the parser of every `main` call; parsing reads it and leaves it as it was
+_PARSER = build_parser()
 
 
 if __name__ == "__main__":

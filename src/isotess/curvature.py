@@ -13,14 +13,27 @@ the two distinct unbounded tiles of the infinite graph.
 Quantities touching a frontier vertex or an indeterminate tile are None
 (indeterminate), never silently wrong.
 
-Every value is exact and normalised once.  Weights are sums over the lcm
-of their terms' denominators (:func:`~isotess.rational.exact_sum`).  The
-Gauss-Bonnet total and the degsum left-hand side add each c(e)|e| as the
-unnormalised int pair (numerator product, denominator product) with
-:func:`~isotess.rational.scaled_sum`.  c(e) and the vertex curvature
-kappa(v) are built from the integer numerators and denominators of their
-terms (1/(n/d) = d/n) as one Fraction each; the maxima M and P are
-compared by cross-multiplication, and only the winner becomes a Fraction.
+Every value is exact and normalised once, and computed once per distinct
+local configuration: m(v) per multiset of star lengths, c(e) per |e| and
+the four reciprocals it subtracts, and the vertex curvature kappa(v) per
+deg(v) and multiset of bounded corner degrees.  The keys are the ids of
+objects the graph already shares (``build_graph`` hands one length
+Fraction to every edge with the same spelling, and one perimeter to
+every tile with the same boundary lengths), so no Fraction is hashed;
+objects that are equal but distinct only miss the memo.  Vertices or
+edges with the same key share one value object.  ell*, ell_min, M, P, c_*
+and deg* are taken over the distinct values, and the Gauss-Bonnet total
+over the distinct c(e)|e|, each times its number of edges.
+
+Weights are sums of the lengths' int parts over the lcm of their
+denominators (:func:`~isotess.rational.scaled_sum`), normalised once.
+The Gauss-Bonnet total and the degsum left-hand side add each c(e)|e| as
+the unnormalised int pair (numerator product, denominator product) with
+:func:`~isotess.rational.scaled_sum`.  c(e) and kappa(v) are built from
+the integer numerators and denominators of their terms (1/(n/d) = d/n)
+as one Fraction each; the maxima M and P and the minimum c_* are
+compared by cross-multiplication, and only the winner of M and P becomes
+a Fraction.
 """
 
 from __future__ import annotations
@@ -79,41 +92,86 @@ def vertex_weight(g: MetricGraph, v: int) -> Fraction:
     return exact_sum([g.length[e] for e in g.rotation[v]])
 
 
-def _weights(g: MetricGraph) -> dict[int, Fraction | None]:
+def _weights(g: MetricGraph) -> tuple[dict[int, Fraction | None], list[list],
+                                      dict[int, tuple[int, int]]]:
+    """m(v) for every vertex, None on the frontier; one entry [m(v), (numerator,
+    denominator) of m(v), key, number of vertices] per distinct multiset of
+    star lengths, keyed on the sorted ids of the length objects; and the
+    (numerator, denominator) of each distinct length object, by id."""
     fr, length, rotation = g.frontier_vertices, g.length, g.rotation
-    return {v: None if v in fr else exact_sum([length[e] for e in rotation[v]])
-            for v in g.vertices}
+    lengths = dict(zip(map(id, length.values()), length.values()))
+    parts = {k: (x.numerator, x.denominator) for k, x in lengths.items()}
+    memo: dict[tuple[int, ...], list] = {}
+    out: dict[int, Fraction | None] = {}
+    for v in g.vertices:
+        if v in fr:
+            out[v] = None
+            continue
+        key = tuple(sorted(map(id, map(length.__getitem__, rotation[v]))))
+        entry = memo.get(key)
+        if entry is None:
+            m = Fraction(*scaled_sum([parts[k] for k in key]))
+            entry = memo[key] = [m, (m.numerator, m.denominator), key, 0]
+        entry[3] += 1
+        out[v] = entry[0]
+    return out, list(memo.values()), parts
 
 
 def char_values(g: MetricGraph) -> dict[int, Fraction | None]:
-    return _char_values(g, _weights(g))
+    return _char_values(g, *_weights(g)[:2])[0]
 
 
-def _char_values(g: MetricGraph, weights: dict[int, Fraction | None]
-                 ) -> dict[int, Fraction | None]:
-    """c(e) for every edge, given the weights m(v).
+# 1/p(T) as an int pair (d, n) on an unbounded tile
+_UNBOUNDED_RECIPROCAL = (0, 1)
 
-    The subtracted reciprocals 1/m(v) and 1/p(T) are kept as int pairs
-    (d, n) for d/n: 1/(n/d) = d/n, and 1/p = 0/1 on an unbounded tile.
-    None marks a frontier vertex or an indeterminate tile.
+
+def _char_values(g: MetricGraph, weights: dict[int, Fraction | None], stars: list[list]
+                 ) -> tuple[dict[int, Fraction | None], list[list]]:
+    """c(e) for every edge, given the weights m(v) and their entries from
+    :func:`_weights`, and one entry [c(e), |e|, number of edges] per
+    distinct configuration.
+
+    The subtracted reciprocals 1/m(v) and 1/p(T) are int pairs (d, n) for
+    d/n: 1/(n/d) = d/n, and 1/p = 0/1 on an unbounded tile; tiles whose
+    perimeter is one object share one pair.  None marks a frontier vertex
+    or an indeterminate tile.  A configuration is keyed on the ids of |e|,
+    the two weights and the two tiles' pairs.
     """
-    inv_m = {v: None if w is None else (w.denominator, w.numerator)
-             for v, w in weights.items()}
-    inv_p = [(t.perimeter.denominator, t.perimeter.numerator) if t.status == BOUNDED
-             else (0, 1) if t.status == UNBOUNDED else None for t in g.tiles]
-    dart_tile, length = g.dart_tile, g.length
+    inv_m = {id(m): (d, n) for m, (n, d), _, _ in stars}
+    pairs: dict[int, tuple[int, int]] = {}
+    inv_p: list[tuple[int, int] | None] = []
+    for t in g.tiles:
+        if t.status == BOUNDED:
+            p = t.perimeter
+            pair = pairs.get(id(p))
+            if pair is None:
+                pair = pairs[id(p)] = (p.denominator, p.numerator)
+        else:
+            pair = _UNBOUNDED_RECIPROCAL if t.status == UNBOUNDED else None
+        inv_p.append(pair)
+    ends, dart_tile, length = g.edge_ends, g.dart_tile, g.length
+    memo: dict[tuple[int, ...], list] = {}
     out: dict[int, Fraction | None] = {}
     for e in g.edges:
-        a, b = g.edge_ends[e]
-        terms = (inv_m[a], inv_m[b], inv_p[dart_tile[(e, a)]], inv_p[dart_tile[(e, b)]])
-        if None in terms:
+        a, b = ends[e]
+        ma, mb = weights[a], weights[b]
+        pa, pb = inv_p[dart_tile[(e, a)]], inv_p[dart_tile[(e, b)]]
+        if ma is None or mb is None or pa is None or pb is None:
             out[e] = None
             continue
         ell = length[e]
-        den = math.lcm(ell.numerator, *[n for _, n in terms])
-        out[e] = Fraction(ell.denominator * (den // ell.numerator)
-                          - sum([d * (den // n) for d, n in terms]), den)
-    return out
+        key = (id(ell), id(ma), id(mb), id(pa), id(pb))
+        entry = memo.get(key)
+        if entry is None:
+            n, d = ell.numerator, ell.denominator
+            (da, na), (db, nb), (dt, nt), (du, nu) = inv_m[key[1]], inv_m[key[2]], pa, pb
+            den = math.lcm(n, na, nb, nt, nu)
+            c = Fraction(d * (den // n) - da * (den // na) - db * (den // nb)
+                         - dt * (den // nt) - du * (den // nu), den)
+            entry = memo[key] = [c, ell, 0]
+        entry[2] += 1
+        out[e] = entry[0]
+    return out, list(memo.values())
 
 
 def _corner_degrees(g: MetricGraph, v: int) -> list[int] | None:
@@ -149,22 +207,41 @@ def vertex_curvature(g: MetricGraph, v: int) -> Fraction:
 
 
 def vertex_curvatures(g: MetricGraph) -> dict[int, Fraction | None]:
+    """kappa(v) for every vertex, None where it is unavailable; one
+    Fraction per distinct deg(v) and multiset of bounded corner degrees."""
+    # a corner's tile degree; 0 on an unbounded tile, None on an indeterminate one
+    corner = [t.degree if t.status == BOUNDED else 0 if t.status == UNBOUNDED else None
+              for t in g.tiles]
+    fr, rotation, dart_tile = g.frontier_vertices, g.rotation, g.dart_tile
+    memo: dict[tuple[int, ...], Fraction] = {}
     out: dict[int, Fraction | None] = {}
     for v in g.vertices:
-        degrees = None if v in g.frontier_vertices else _corner_degrees(g, v)
-        out[v] = None if degrees is None else _kappa(g.degree(v), degrees)
+        if v in fr:
+            out[v] = None
+            continue
+        rot = rotation[v]
+        degrees = [corner[dart_tile[(e, v)]] for e in rot]
+        if None in degrees:
+            out[v] = None
+            continue
+        key = (len(rot), *sorted(filter(None, degrees)))
+        kappa = memo.get(key)
+        if kappa is None:
+            kappa = memo[key] = _kappa(key[0], key[1:])
+        out[v] = kappa
     return out
 
 
 def _max_ratio(pairs) -> Fraction | None:
-    """max of x/y over (x, y) pairs of positive Fractions; None when empty.
+    """max of x/y over pairs (x, y) of positive rationals, each given as its
+    (numerator, denominator) ints; None when empty.
 
     Candidates are compared by cross-multiplication; only the winner
     becomes a Fraction.
     """
     best_num, best_den = 0, 0
-    for x, y in pairs:
-        num, den = x.numerator * y.denominator, x.denominator * y.numerator
+    for (xn, xd), (yn, yd) in pairs:
+        num, den = xn * yd, xd * yn
         if not best_den or num * best_den > best_num * den:
             best_num, best_den = num, den
     return Fraction(best_num, best_den) if best_den else None
@@ -177,21 +254,20 @@ def global_constants(g: MetricGraph) -> CurvatureReport:
     (infinite as soon as one unbounded tile exists), K = 1 - 1/M - 2/P -
     1/((M-2)P).  On truncations these are observed values.
     """
-    weights = _weights(g)
-    cvals = _char_values(g, weights)
+    weights, stars, parts = _weights(g)
+    cvals, configs = _char_values(g, weights, stars)
     kappas = vertex_curvatures(g)
 
-    free_vertices = [v for v in g.vertices if weights[v] is not None]
-    if not free_vertices:
+    if not stars:
         raise EmptyFrontierFreeRegion("every vertex touches the frontier")
 
-    length = g.length
-    ell_star = max(length.values())
-    ell_min = min(length.values())
+    lengths = dict(zip(map(id, g.length.values()), g.length.values())).values()
+    ell_star = max(lengths)
+    ell_min = min(lengths)
 
     # M = max over v of m(v)/min_{e at v} |e| = max over v and e at v of m(v)/|e|
-    M = _max_ratio((weights[v], length[e]) for v in free_vertices for e in g.rotation[v])
-    deg_star = max(g.degree(v) for v in free_vertices)
+    M = _max_ratio((m, parts[k]) for _, m, key, _ in stars for k in key)
+    deg_star = max(len(key) for _, _, key, _ in stars)
 
     perims: dict[int, Extended | None] = {t.index: t.perimeter for t in g.tiles}
     bounded = [t for t in g.tiles if t.status == BOUNDED]
@@ -201,11 +277,23 @@ def global_constants(g: MetricGraph) -> CurvatureReport:
     if n_unbounded:
         P = dT_star = INF
     else:
-        P = _max_ratio((t.perimeter, length[e]) for t in bounded for e in t.edges)
+        # P = max over T and e on T of p(T)/|e|: the tiles that share a
+        # perimeter object are one group, with the lengths of all their edges
+        length = g.length
+        groups: dict[int, tuple[tuple[int, int], set[int]]] = {}
+        for t in bounded:
+            group = groups.get(id(t.perimeter))
+            if group is None:
+                p = t.perimeter
+                group = groups[id(p)] = ((p.numerator, p.denominator), set())
+            group[1].update(map(id, map(length.__getitem__, t.edges)))
+        P = _max_ratio((p, parts[k]) for p, keys in groups.values() for k in keys)
         dT_star = max((t.degree for t in bounded), default=None)
 
-    determinate_c = [c for c in cvals.values() if c is not None]
-    c_star = min(determinate_c) if determinate_c else None
+    c_star = None  # the least c(e), compared by cross-multiplication
+    for c, _, _ in configs:
+        if c_star is None or c.numerator * c_star.denominator < c_star.numerator * c.denominator:
+            c_star = c
 
     K: Fraction | None = None
     if M is not None and P is not None and M != 2:
@@ -227,8 +315,8 @@ def global_constants(g: MetricGraph) -> CurvatureReport:
         dT_star=dT_star,
         observed=not g.is_frontier_free,
         counts={
-            "frontier_free_vertices": len(free_vertices),
-            "frontier_free_edges": sum(1 for c in cvals.values() if c is not None),
+            "frontier_free_vertices": sum(n for _, _, _, n in stars),
+            "frontier_free_edges": sum(n for _, _, n in configs),
             "frontier_free_tiles": len(bounded) + n_unbounded,
         },
     )
@@ -251,10 +339,9 @@ def gauss_bonnet_check(g: MetricGraph) -> GaussBonnetResult:
         raise NotFiniteTessellation(
             "; ".join(f"({v.condition}) {v.witness}: {v.detail}"
                       for v in report.violations))
-    cvals, length = char_values(g), g.length
-    num, scale = scaled_sum([(cvals[e].numerator * length[e].numerator,
-                              cvals[e].denominator * length[e].denominator)
-                             for e in g.edges])
+    _, configs = _char_values(g, *_weights(g)[:2])
+    num, scale = scaled_sum([(n * c.numerator * ell.numerator, c.denominator * ell.denominator)
+                             for c, ell, n in configs])
     total = Fraction(-num, scale)
     return GaussBonnetResult(total=total, holds=total == 1)
 

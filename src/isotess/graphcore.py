@@ -26,11 +26,12 @@ per entry.  Incident sets are built only when that fails, to name the
 first bad vertex.  The faces are walked by popping the map, which
 records each dart's tile as it pops the dart, and each bounded tile's
 perimeter is summed over integer length parts, one Fraction per distinct
-multiset of boundary lengths.  On the four build-curvature benchmark
-inputs (2k to 10k edges), each freshly parsed, one build of each takes
-0.10 to 0.12 s with the cyclic garbage collector paused, as the ``isotess``
-commands run it, and 0.15 to 0.19 s with the collector on (minimum of 15
-runs, Python 3.11.7, 2 shared CPUs).
+multiset of boundary lengths.  Tiles have slots and no ``__dict__`` (88
+bytes each, not 184).  On the four build-curvature benchmark inputs (2k
+to 10k edges), each freshly parsed, one build of each takes 0.10 s in
+all with the cyclic garbage collector paused, as the ``isotess``
+commands run it, and 0.11 to 0.13 s with the collector on (minimum of 30
+runs per input, Python 3.11.7, 2 shared CPUs).
 
 Closure and classification of a selection need the bounded faces of its
 interior graph H (``_bounded_faces``).  They cost O(|H|) when every bounded
@@ -72,7 +73,7 @@ UNBOUNDED = "unbounded"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tile:
     """One face of the embedding.
 

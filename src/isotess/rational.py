@@ -45,15 +45,34 @@ def reciprocal(x: Extended) -> Fraction:
     return Fraction(1) / x
 
 
+# terms that scaled_sum adds flat, over the lcm of their own denominators
+_CHUNK = 32
+
+
 def scaled_sum(parts: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """(num, scale) with num/scale the sum of the fractions n/d in ``parts``.
 
-    ``scale`` is the lcm of the denominators d; the numerators are scaled
-    to it and added as ints, and nothing is normalised.  The empty sum is
+    ``scale`` is the lcm of the denominators d, and nothing is normalised.
+    Up to 32 terms are added flat: the numerators are scaled to the lcm
+    and added as ints.  A longer sum adds chunks of 32 terms that way and
+    merges the chunk sums pairwise, each pair over the lcm of its two
+    scales, so each term is scaled to its chunk's lcm only, and the lcm of
+    all the denominators is formed by the last merge.  The empty sum is
     (0, 1).
     """
-    scale = math.lcm(*{d for _, d in parts})
-    return sum([n * (scale // d) for n, d in parts]), scale
+    if len(parts) <= _CHUNK:
+        scale = math.lcm(*{d for _, d in parts})
+        return sum([n * (scale // d) for n, d in parts]), scale
+    sums = [scaled_sum(parts[i:i + _CHUNK]) for i in range(0, len(parts), _CHUNK)]
+    while len(sums) > 1:
+        merged = []
+        for (n1, s1), (n2, s2) in zip(sums[::2], sums[1::2]):
+            scale = math.lcm(s1, s2)
+            merged.append((n1 * (scale // s1) + n2 * (scale // s2), scale))
+        if len(sums) % 2:
+            merged.append(sums[-1])
+        sums = merged
+    return sums[0]
 
 
 def exact_sum(values: Iterable[Fraction]) -> Fraction:

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -638,6 +639,57 @@ def test_flags_attached_only_where_read(capsys):
             run(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_parser_reused_keeps_defaults(tmp_path, capsys):
+    # main parses every call with one parser; a flag given in one call
+    # must not stay as the default of the next
+    path = tmp_path / "pq73r2.json"
+    assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", "2",
+                "--output", str(path)]) == 0
+    capsys.readouterr()
+    budgets = []
+    for argv in (["alpha", str(path), "--budget-edges", "2"], ["alpha", str(path)]):
+        assert run(argv) == 0
+        budgets.append(json.loads(capsys.readouterr().out)["budget"]["max_edges"])
+    assert budgets == [2, 6]
+
+
+# sha256 of the --help text at 80 columns, as the parser wrote it when
+# every call built its own; Python 3.13 wraps the top-level usage line
+# differently from 3.10-3.12
+HELP_DIGESTS = {
+    (): "bc6062c8ce0a0bbb7a790494adc95bd8767ede5c4281406c303fc5a8109b34d9"
+        if sys.version_info < (3, 13) else
+        "385c9a9f5427f97fbd314c93682e8e20f25ca9192a9ade8cf16b6c433d33bd7a",
+    ("validate",): "912fe43aab83fc423d2cde5db72e6880dd18304158409692490aa48d03441e1a",
+    ("faces",): "78979cd07d8d77d89b32f7afd6e9eac27c2b2c61c7415badd4e6e1085fa712ed",
+    ("curvature",): "790cf9eaacc753fc1afeca7adca383e3a140b2de7b8f14c22bfec8e19d06910a",
+    ("gauss-bonnet",): "ed1f000e544b695957148fefeaa5b0f85b53a50629d709c1656f61b95712a77d",
+    ("bounds",): "82438e3ccc4a61addf29d981c1d44ba52ed522a3c648822bf9ad1f9b591cff8e",
+    ("alpha",): "1005308a4ec144d0d363d02f146365e0a122cd744827379a95535ef71c1c53a1",
+    ("comb-alpha",): "b7039446f3cce4630c2cacd5d047510959ea666ab3f84cbdcda7528b3334b1b0",
+    ("compare",): "4e3d0c158734a2e6f49575d5b8f1122170cd0eeaf3c816d790ce00c7d5585b23",
+    ("gen",): "4b53598c16c47230e02ad018f5670a7cbb39868d771d9de2fe49a14c0416f3f7",
+    ("gen", "pq"): "b88eef40b25c53c19e32c87f1c78e1a9f221da81632d0655dcf45529d8a95c6a",
+    ("gen", "tree"): "2346b11567a2b6f733dd614ad23a6f129db383327d509e8fed0fd3bf3cad681b",
+    ("gen", "gk"): "3961ebc189a12b00ffeed1b0198787f95a6f04499654af79382029e0ea15696f",
+    ("gen", "netree"): "2a478a1e7f28c651a360a86e2e996d797dcf567871fa2da4e89b04a66b905e5c",
+    ("witness",): "671f8aad9a451c17039ca8afd7bcc7d9b3c0353ff91bbd1e73f0941eb4be5742",
+}
+
+
+def test_help_text_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    for _ in range(2):  # one parser serves both rounds; help must not change it
+        got = {}
+        for command in HELP_DIGESTS:
+            with pytest.raises(SystemExit) as exc:
+                run([*command, "--help"])
+            assert exc.value.code == 0
+            got[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == HELP_DIGESTS
 
 
 # Exit code and sha256 of the report of every analysis command on small

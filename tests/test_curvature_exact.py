@@ -13,6 +13,7 @@ failure names its seed; ``random.Random`` with that string replays it.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -47,6 +48,14 @@ def _relength(record: dict, rng: random.Random) -> dict:
             item["length"] = rng.choice(LENGTH_POOL)
         else:
             item["length"] = f"{rng.randint(1, 12)}/{rng.randint(1, 12)}"
+    return record
+
+
+def _respell(record: dict) -> dict:
+    """Every length written as a spelling of its own, k p / k q for edge k."""
+    for k, item in enumerate(record["edges"], start=1):
+        ell = Fraction(item["length"].strip())
+        item["length"] = f"{k * ell.numerator}/{k * ell.denominator}"
     return record
 
 
@@ -231,14 +240,51 @@ def test_family_truncation_matches_reference(name, relength):
 
 @pytest.mark.parametrize("index", range(5))
 def test_finite_corpus_matches_reference(index):
-    for variant in range(4):
+    for variant in range(5):
         seed = f"corpus:{index}:{variant}"
         rng = random.Random(seed)
         name, record = finite_corpus()[index]
         if variant:
             _relength(record, rng)
+        if variant == 4:  # no two edges share a length object
+            _respell(record)
         _check_graph(record, f"{seed}:{name}")
         g = build_graph(record)
         result = gauss_bonnet_check(g)
         assert _same(result.total, _reference_gauss_bonnet(g)), seed
         assert result.holds and result.total == 1, seed
+
+
+# ---------------------------------------------------------------------------
+# one value per distinct local configuration
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("relength", [False, True], ids=["family", "rational"])
+def test_distinct_spellings_give_the_same_constants(name, relength):
+    # build_graph shares one length object per spelling, and the memos key
+    # on those objects: with no two edges sharing one, every value is
+    # computed afresh and must come out the same
+    seed = f"respell:{name}:{relength}"
+    record = FAMILIES[name]()
+    if relength:
+        _relength(record, random.Random(seed))
+    plain = build_graph(record)
+    respelled = build_graph(_respell(record))
+    assert len(set(map(id, respelled.length.values()))) == len(respelled.edges)
+    want, got = global_constants(plain), global_constants(respelled)
+    for field in dataclasses.fields(want):
+        assert _same(getattr(got, field.name), getattr(want, field.name)), (seed, field.name)
+    _check_graph(record, seed)
+
+
+def test_one_object_per_distinct_value():
+    # on pq(7,3) r4 every determinate weight, characteristic value, vertex
+    # curvature and bounded perimeter is the same value, held by one object
+    g = build_graph(gen_pq_ball(PQParams(7, 3), 4))
+    report = global_constants(g)
+    for name in ("vertex_weight", "char_value", "vertex_curvature", "tile_perimeter"):
+        values = [x for x in getattr(report, name).values() if x is not None]
+        assert values, name
+        assert len(set(map(id, values))) == len(set(values)) == 1, name
+    assert len(report.char_value) == 546 and report.counts["frontier_free_edges"] == 140
