@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -148,17 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> tuple[MetricGraph, dict, bytes]:
+def _load(path: str) -> tuple[dict, str]:
+    """The record in the file at ``path`` and the file's sha256 hex digest."""
     data = Path(path).read_bytes()
-    record = interchange.load_record(path, data)
-    return graphcore.build_graph(record), record, data
+    return interchange.load_record(path, data), hashlib.sha256(data).hexdigest()
 
 
-def _emit(args, result, data: bytes | None, family: dict | None,
+def _emit(args, result, digest: str | None, family: dict | None,
           **echo) -> None:
     if args.command not in _WRITTEN:
         result = reports.jsonable(result)
-    report = reports.make_report(args.command, result, input_bytes=data,
+    report = reports.make_report(args.command, result, input_sha256=digest,
                                  family=family, **echo)
     sys.stdout.write(reports.emit(report, args.output))
 
@@ -304,8 +305,9 @@ _ANALYSES = {
 
 def _analyze(args) -> int:
     """Load and build the input graph, run one analysis, emit its report."""
-    g, record, data = _load(args.input)
-    family = record.get("family")
+    record, digest = _load(args.input)
+    g, family = graphcore.build_graph(record), record.get("family")
+    del record  # nothing reads the record after the build
     echo = {}
     if args.command in _BUDGETED:
         args.budget = Budget(max_edges=args.budget_edges,
@@ -313,7 +315,7 @@ def _analyze(args) -> int:
                              max_yield=args.max_yield)
         echo = {"budget": dataclasses.asdict(args.budget)}
     result, code = _ANALYSES[args.command][1](g, family, args)
-    _emit(args, result, data, family, **echo)
+    _emit(args, result, digest, family, **echo)
     return code
 
 
@@ -340,11 +342,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    graph = record = data = None
+    graph = record = digest = None
     if args.input:
-        graph, record, data = _load(args.input)
+        record, digest = _load(args.input)
+        graph = graphcore.build_graph(record)
     w = families.gk_witness_sequence(args.k, args.l, graph=graph, record=record)
-    _emit(args, w, data, record.get("family") if record else None)
+    _emit(args, w, digest, record.get("family") if record else None)
     return EXIT_OK
 
 

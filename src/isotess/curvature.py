@@ -6,9 +6,11 @@ The characteristic value of an edge e is
 
 where m(v) is the total length of the star at v and p(T) the perimeter of
 the tile on that side (1/p = 0 for unbounded tiles).  Each side of an edge
-is resolved through its dart, so a truncation where both sides trace into
-the same unbounded face still contributes two (zero) tile terms, matching
-the two distinct unbounded tiles of the infinite graph.
+is resolved through its dart (the i-th edge's sides are darts 2i and
+2i + 1, read off ``g.dart_tile``), so a truncation where both sides trace
+into the same unbounded face still contributes two (zero) tile terms,
+matching the two distinct unbounded tiles of the infinite graph.  The
+corners at a vertex are the tiles of ``g.rotation_darts[v]``.
 
 Quantities touching a frontier vertex or an indeterminate tile are None
 (indeterminate), never silently wrong.
@@ -149,13 +151,14 @@ def _char_values(g: MetricGraph, weights: dict[int, Fraction | None], stars: lis
         else:
             pair = _UNBOUNDED_RECIPROCAL if t.status == UNBOUNDED else None
         inv_p.append(pair)
-    ends, dart_tile, length = g.edge_ends, g.dart_tile, g.length
+    heads, dart_tile, length = g.dart_head, g.dart_tile, g.length
     memo: dict[tuple[int, ...], list] = {}
     out: dict[int, Fraction | None] = {}
-    for e in g.edges:
-        a, b = ends[e]
+    # edge i's sides are its darts 2i and 2i + 1
+    for e, a, b, ta, tb in zip(g.edges, heads[::2], heads[1::2],
+                               dart_tile[::2], dart_tile[1::2]):
         ma, mb = weights[a], weights[b]
-        pa, pb = inv_p[dart_tile[(e, a)]], inv_p[dart_tile[(e, b)]]
+        pa, pb = inv_p[ta], inv_p[tb]
         if ma is None or mb is None or pa is None or pb is None:
             out[e] = None
             continue
@@ -177,8 +180,8 @@ def _char_values(g: MetricGraph, weights: dict[int, Fraction | None], stars: lis
 def _corner_degrees(g: MetricGraph, v: int) -> list[int] | None:
     """Degrees of the bounded tiles at the corners of v; None if one is indeterminate."""
     degrees = []
-    for e in g.rotation[v]:
-        tile = g.tiles[g.dart_tile[(e, v)]]
+    for d in g.rotation_darts[v]:
+        tile = g.tiles[g.dart_tile[d]]
         if tile.status == BOUNDED:
             degrees.append(tile.degree)
         elif tile.status == INDETERMINATE:
@@ -212,19 +215,19 @@ def vertex_curvatures(g: MetricGraph) -> dict[int, Fraction | None]:
     # a corner's tile degree; 0 on an unbounded tile, None on an indeterminate one
     corner = [t.degree if t.status == BOUNDED else 0 if t.status == UNBOUNDED else None
               for t in g.tiles]
-    fr, rotation, dart_tile = g.frontier_vertices, g.rotation, g.dart_tile
+    fr, into, dart_tile = g.frontier_vertices, g.rotation_darts, g.dart_tile
     memo: dict[tuple[int, ...], Fraction] = {}
     out: dict[int, Fraction | None] = {}
     for v in g.vertices:
         if v in fr:
             out[v] = None
             continue
-        rot = rotation[v]
-        degrees = [corner[dart_tile[(e, v)]] for e in rot]
+        darts = into[v]
+        degrees = [corner[dart_tile[d]] for d in darts]
         if None in degrees:
             out[v] = None
             continue
-        key = (len(rot), *sorted(filter(None, degrees)))
+        key = (len(darts), *sorted(filter(None, degrees)))
         kappa = memo.get(key)
         if kappa is None:
             kappa = memo[key] = _kappa(key[0], key[1:])

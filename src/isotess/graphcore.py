@@ -1,9 +1,15 @@
 """Immutable planar metric-graph model.
 
 A graph is described by a rotation system: every vertex carries the cyclic
-clockwise order of its incident edges.  Directed edges (darts) are pairs
-``(edge_id, head_vertex)``; since graphs are simple this is unambiguous.
-Faces are traced with the fixed convention
+clockwise order of its incident edges.  A directed edge (dart) is an int:
+the i-th edge of ``g.edges`` (the sorted ids) has darts 2i and 2i+1, and
+the odd one has the edge's larger end as its head.  So the twin of dart
+``d`` is ``d ^ 1``, its edge is ``g.edges[d >> 1]``, its head is
+``g.dart_head[d]``, and int order is (edge id, head) order.  Each of these
+costs O(1); the dart of an edge into a given end, ``g.dart(e, v)``,
+bisects ``g.edges``, O(log |E|), and ``g.rotation_darts[v]`` lists the
+darts into ``v`` in rotation order.  Faces are traced with the fixed
+convention
 
     successor of h  =  rotational successor of twin(h) at the head of h,
 
@@ -16,22 +22,23 @@ truncation (ball-like truncations); the generators in :mod:`isotess.families`
 guarantee this.
 
 ``build_graph`` does a fixed number of C-level passes over the record plus
-one Python step per rotation entry (the face-successor map and the face
-walk) and per tile.  Ids, rotation entries and frontier lists are
-type-checked in bulk; the per-entry checks run only to name the first bad
-entry.  The rotation check is folded into the face-successor map: every
-rotation is a permutation of its vertex's incident edges exactly when each
-entry is an edge at that vertex and the map holds 2|E| distinct darts, one
-per entry.  Incident sets are built only when that fails, to name the
-first bad vertex.  The faces are walked by popping the map, which
-records each dart's tile as it pops the dart, and each bounded tile's
-perimeter is summed over integer length parts, one Fraction per distinct
-multiset of boundary lengths.  Tiles have slots and no ``__dict__`` (88
-bytes each, not 184).  On the four build-curvature benchmark inputs (2k
-to 10k edges), each freshly parsed, one build of each takes 0.10 s in
-all with the cyclic garbage collector paused, as the ``isotess``
-commands run it, and 0.11 to 0.13 s with the collector on (minimum of 30
-runs per input, Python 3.11.7, 2 shared CPUs).
+one Python step per rotation entry (the dart pass and the face walk) and
+per tile.  Ids, rotation entries and frontier lists are type-checked in
+bulk; the per-entry checks run only to name the first bad entry.  The
+rotation check is folded into the dart pass, which fills a flat
+face-successor list indexed by dart: every rotation is a permutation of
+its vertex's incident edges exactly when each entry is an edge at that
+vertex and the entries, 2|E| of them, fill all 2|E| slots.  Incident sets
+are built only when that fails, to name the first bad vertex.  The faces
+are walked over that list, recording each dart's tile, and each tile is
+built by mapping its cycle over per-dart edge and head lists; a bounded
+tile's perimeter is summed over integer length parts, one Fraction per
+distinct multiset of boundary lengths.  Tiles are named tuples (96 bytes
+each).  On the four build-curvature benchmark inputs (2k to 10k edges),
+each freshly parsed, one build of each takes 0.09 s in all with the
+cyclic garbage collector paused, as the ``isotess`` commands run it, and
+0.10 s with the collector on (minimum of 30 runs per input, Python
+3.11.7, 2 shared CPUs).
 
 Closure and classification of a selection need the bounded faces of its
 interior graph H (``_bounded_faces``).  They cost O(|H|) when every bounded
@@ -45,13 +52,14 @@ indeterminate, or when H encloses a face that is not a single tile.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import eq, itemgetter
-from typing import Iterable, Mapping, Sequence
+from operator import eq
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     Disconnected,
@@ -66,25 +74,23 @@ from .errors import (
 )
 from .rational import INF, Extended, parse_rational, scaled_sum
 
-Dart = tuple[int, int]  # (edge id, head vertex id)
-
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True, slots=True)
-class Tile:
+class Tile(NamedTuple):
     """One face of the embedding.
 
-    ``cycle`` is the dart orbit; ``edges`` the distinct edge ids on the
-    boundary; ``degree`` counts distinct edges.  ``perimeter`` is the exact
-    sum of the boundary lengths for bounded tiles, INF for unbounded ones
-    and None when the face touches the frontier.
+    ``cycle`` is the dart orbit, int darts starting at the smallest;
+    ``edges`` the distinct edge ids on the boundary; ``degree`` counts
+    distinct edges.  ``perimeter`` is the exact sum of the boundary
+    lengths for bounded tiles, INF for unbounded ones and None when the
+    face touches the frontier.
     """
 
     index: int
-    cycle: tuple[Dart, ...]
+    cycle: tuple[int, ...]
     edges: frozenset[int]
     degree: int
     status: str
@@ -98,6 +104,9 @@ class MetricGraph:
 
     ``vertices`` and ``edges`` are the sorted ids; ``true_degree`` is None
     for frontier vertices whose degree in the full graph is unknown.
+    ``dart_tile`` and ``dart_head`` are indexed by dart (module
+    docstring); ``rotation_darts[v]`` lists the darts into ``v`` in the
+    order of ``rotation[v]``.
     """
 
     rotation: Mapping[int, tuple[int, ...]]
@@ -106,7 +115,9 @@ class MetricGraph:
     true_degree: Mapping[int, int | None]
     length: Mapping[int, Fraction]
     tiles: tuple[Tile, ...]
-    dart_tile: Mapping[Dart, int]
+    dart_tile: tuple[int, ...]
+    dart_head: tuple[int, ...]
+    rotation_darts: Mapping[int, tuple[int, ...]]
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
 
@@ -125,11 +136,17 @@ class MetricGraph:
             return a
         raise KeyError(f"vertex {v} not on edge {edge}")
 
-    def darts_of(self, edge: int) -> tuple[Dart, Dart]:
-        a, b = self.edge_ends[edge]
-        return (edge, a), (edge, b)
+    def dart(self, edge: int, head: int) -> int:
+        """The dart of ``edge`` into ``head``, found by bisection on ``edges``;
+        KeyError when ``head`` is not an end of ``edge``."""
+        return _dart(self.edges, self.dart_head, edge, head)
 
-    def tile_of(self, dart: Dart) -> Tile:
+    def darts_of(self, edge: int) -> tuple[int, int]:
+        """The two darts of ``edge``, into its smaller end first."""
+        d = self.dart(edge, self.edge_ends[edge][0]) & ~1
+        return d, d | 1
+
+    def tile_of(self, dart: int) -> Tile:
         return self.tiles[self.dart_tile[dart]]
 
     def frontier_free_edges(self) -> list[int]:
@@ -190,94 +207,112 @@ class ValidationReport:
 # face tracing
 # ---------------------------------------------------------------------------
 
-def _successors(rotation: Mapping[int, Sequence[int]],
-                edge_ends: Mapping[int, tuple[int, int]]) -> dict[Dart, Dart] | None:
-    """The face-successor map, dart -> dart; None unless it is a permutation.
+def _dart(edges: Sequence[int], head: Sequence[int], edge: int, v: int) -> int:
+    """The dart of ``edge`` into ``v``, given the sorted edge ids and each
+    dart's head; KeyError when ``v`` is not an end of ``edge``."""
+    i = bisect_left(edges, edge)
+    if i < len(edges) and edges[i] == edge:
+        d = 2 * i
+        if head[d] == v:
+            return d
+        if head[d + 1] == v:
+            return d + 1
+    raise KeyError(f"vertex {v} not on edge {edge}")
 
-    The successor of ``(e, v)`` leaves ``v`` along the entry after ``e`` in
-    the rotation at ``v``.  Every rotation is a permutation of its vertex's
-    incident edges exactly when each entry is an edge at that vertex and
-    the map holds 2|E| distinct darts, one per entry: the pass that builds
-    the map checks the first, its size the second.
+
+def _darts(rotation: Mapping[int, Sequence[int]],
+           edge_ends: Mapping[int, tuple[int, int]], edges: Sequence[int]
+           ) -> tuple[list[int], dict[int, tuple[int, ...]], list[int]] | None:
+    """Each dart's head, the darts into each vertex in rotation order and
+    the face-successor list, indexed by dart; None unless every rotation
+    is a permutation of its vertex's incident edges.
+
+    ``edges`` are the sorted ids of ``edge_ends``.  The successor of the
+    dart into ``v`` along a rotation entry is the twin of the dart into
+    ``v`` along the next entry.  Every rotation is a permutation of its
+    vertex's incident edges exactly when each entry is an edge at that
+    vertex and the entries, 2|E| of them, fill every slot of the list:
+    the pass that fills it checks the first, the count and a scan for an
+    unfilled slot the second.
     """
-    succ: dict[Dart, Dart] = {}
+    head = list(chain.from_iterable((a, b) if a < b else (b, a)
+                                    for a, b in map(edge_ends.__getitem__, edges)))
+    if sum(map(len, rotation.values())) != len(head):
+        return None
+    first = dict(zip(edges, range(0, len(head), 2)))
+    succ = [-1] * len(head)
+    into: dict[int, tuple[int, ...]] = {}
     try:
         for v, rot in rotation.items():
-            e = rot[-1] if rot else None
-            for e2 in rot:
-                a, b = edge_ends[e2]
-                if v == a:
-                    succ[(e, v)] = (e2, b)
-                elif v == b:
-                    succ[(e, v)] = (e2, a)
-                else:
-                    return None
-                e = e2
+            ds = [d if head[d] == v else d + 1 if head[d + 1] == v else -1
+                  for d in map(first.__getitem__, rot)]
+            if -1 in ds:
+                return None
+            into[v] = tuple(ds)
+            prev = ds[-1] if ds else None
+            for d in ds:
+                succ[prev] = d ^ 1
+                prev = d
     except KeyError:
         return None
-    n = 2 * len(edge_ends)
-    return succ if len(succ) == n == sum(map(len, rotation.values())) else None
+    return None if -1 in succ else (head, into, succ)
 
 
-def _orbits(succ: dict[Dart, Dart], edge_ends: Mapping[int, tuple[int, int]]
-            ) -> tuple[list[list[Dart]], dict[Dart, int]]:
-    """The orbits of the successor map ``succ``, which this empties, and the
-    index of each dart's orbit.
+def _orbits(succ: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The orbits of the successor list ``succ`` and each dart's orbit index.
 
-    Darts are tried as starts by edge id, then head; an orbit is popped
-    from ``succ`` dart by dart until it closes at its start, so each orbit
-    starts at its smallest dart and the orbits come in the order of those
-    starts.  Each dart's index is recorded as it is popped.
+    Darts are tried as starts in order, so each orbit starts at its
+    smallest dart and the orbits come in the order of those starts.
     """
-    faces: list[list[Dart]] = []
-    index: dict[Dart, int] = {}
-    for e in sorted(edge_ends):
-        a, b = edge_ends[e]
-        for d in ((e, a), (e, b)) if a < b else ((e, b), (e, a)):
-            if d in succ:
-                idx = len(faces)
-                cycle = [d]
+    faces: list[list[int]] = []
+    index = [-1] * len(succ)
+    for start in range(len(succ)):
+        if index[start] < 0:
+            idx = len(faces)
+            cycle = [start]
+            index[start] = idx
+            d = succ[start]
+            while d != start:
+                cycle.append(d)
                 index[d] = idx
-                nxt = succ.pop(d)
-                while nxt != d:
-                    cycle.append(nxt)
-                    index[nxt] = idx
-                    nxt = succ.pop(nxt)
-                faces.append(cycle)
+                d = succ[d]
+            faces.append(cycle)
     return faces, index
 
 
 def trace_faces(rotation: Mapping[int, Sequence[int]],
-                edge_ends: Mapping[int, tuple[int, int]]) -> list[list[Dart]]:
-    """Partition all darts into face cycles.
+                edge_ends: Mapping[int, tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Partition all darts into face cycles of ``(edge id, head)`` pairs.
 
-    Convention: the successor of dart ``h = (e, v)`` leaves ``v`` along the
-    clockwise successor of ``e`` in the rotation at ``v``.  Each cycle starts
-    at its smallest dart by (edge id, head), and the cycles come in the
-    order of those starts.  MalformedRotation unless every rotation is a
-    permutation of its vertex's incident edges.
+    Convention: the successor of the dart along ``e`` into ``v`` leaves
+    ``v`` along the clockwise successor of ``e`` in the rotation at ``v``.
+    Each cycle starts at its smallest dart by (edge id, head), and the
+    cycles come in the order of those starts.  The cycles are traced over
+    int darts, as in ``build_graph``, and converted as they are returned.
+    MalformedRotation unless every rotation is a permutation of its
+    vertex's incident edges.
     """
-    succ = _successors(rotation, edge_ends)
-    if succ is None:
+    edges = sorted(edge_ends)
+    darts = _darts(rotation, edge_ends, edges)
+    if darts is None:
         raise MalformedRotation("a rotation is not a permutation of its vertex's edges")
-    return _orbits(succ, edge_ends)[0]
+    head, _, succ = darts
+    return [[(edges[d >> 1], head[d]) for d in cycle] for cycle in _orbits(succ)[0]]
 
 
-def _reach(start: int, rotation: Mapping[int, Iterable[int]],
-           ends: Mapping[int, tuple[int, int]],
-           inside: frozenset[int] | None = None) -> set[int]:
-    """The vertices reachable from ``start`` along the edges listed in ``rotation``.
+def _reach(start: int, rotation_darts: Mapping[int, Iterable[int]],
+           head: Sequence[int], inside: frozenset[int] | None = None) -> set[int]:
+    """The vertices reachable from ``start`` along the darts in ``rotation_darts``.
 
-    ``rotation`` maps a vertex to edge ids at it and ``ends`` an edge id to
-    its two ends; when ``inside`` is given, only its vertices are entered.
+    ``rotation_darts`` maps a vertex to darts into it and ``head`` a dart
+    to its head, so a dart's twin leads to the neighbour; when ``inside``
+    is given, only its vertices are entered.
     """
     seen = {start}
     stack = [start]
     while stack:
-        v = stack.pop()
-        for e in rotation[v]:
-            a, b = ends[e]
-            w = b if a == v else a
+        for d in rotation_darts[stack.pop()]:
+            w = head[d ^ 1]
             if w not in seen and (inside is None or w in inside):
                 seen.add(w)
                 stack.append(w)
@@ -420,13 +455,15 @@ def build_graph(record: Mapping) -> MetricGraph:
     if not rotation:
         raise InputFormatError("record has no vertices")
 
-    # the rotation check is folded into the face-successor map
-    succ = _successors(rotation, edge_ends)
-    if succ is None or not all(rots):
+    # the rotation check is folded into the face-successor list
+    edges = sorted(edge_ends)
+    darts = _darts(rotation, edge_ends, edges)
+    if darts is None or not all(rots):
         _check_rotations(rotation, edge_ends)
+    head, into, succ = darts
 
     verts = sorted(rotation)
-    unreached = len(verts) - len(_reach(verts[0], rotation, edge_ends))
+    unreached = len(verts) - len(_reach(verts[0], into, head))
     if unreached:
         raise Disconnected(f"{unreached} vertices unreachable")
 
@@ -448,20 +485,23 @@ def build_graph(record: Mapping) -> MetricGraph:
                 f"vertex {v}: true degree {td} != visible degree {visible}")
         true_degree[v] = td
 
-    cycles, dart_tile = _orbits(succ, edge_ends)
+    cycles, dart_tile = _orbits(succ)
 
     unbounded_faces: set[int] = set()
-    for eid, head in face_reps:
-        if eid not in edge_ends or head not in edge_ends[eid]:
-            raise InputFormatError(f"bad unbounded face rep {[eid, head]!r}")
-        unbounded_faces.add(dart_tile[(eid, head)])
+    for eid, h in face_reps:
+        try:
+            unbounded_faces.add(dart_tile[_dart(edges, head, eid, h)])
+        except KeyError:
+            raise InputFormatError(f"bad unbounded face rep {[eid, h]!r}") from None
 
     # one Fraction per distinct multiset of boundary lengths, shared by its tiles
     perimeters: dict[tuple[tuple[int, int], ...], Fraction] = {}
     tiles = []
+    edge_at = list(chain.from_iterable(zip(edges, edges))).__getitem__
+    head_at = head.__getitem__
     for idx, cycle in enumerate(cycles):
-        edges = frozenset(map(itemgetter(0), cycle))
-        touches = bool(frontier) and not frontier.isdisjoint(map(itemgetter(1), cycle))
+        tile_edges = frozenset(map(edge_at, cycle))
+        touches = bool(frontier) and not frontier.isdisjoint(map(head_at, cycle))
         if idx in unbounded_faces:
             status: str = UNBOUNDED
             perimeter: Extended | None = INF
@@ -470,18 +510,18 @@ def build_graph(record: Mapping) -> MetricGraph:
             perimeter = None
         else:
             status = BOUNDED
-            key = tuple(map(parts.__getitem__, edges))
+            key = tuple(map(parts.__getitem__, tile_edges))
             perimeter = perimeters.get(key)
             if perimeter is None:
                 perimeter = perimeters[key] = Fraction(*scaled_sum(key))
-        # positional, in field order: index, cycle, edges, degree, status,
-        # perimeter, touches_frontier
-        tiles.append(Tile(idx, tuple(cycle), edges, len(edges), status, perimeter, touches))
+        tiles.append(Tile(idx, tuple(cycle), tile_edges, len(tile_edges), status,
+                          perimeter, touches))
 
     return MetricGraph(rotation=rotation, edge_ends=edge_ends,
                        frontier_vertices=frontier, true_degree=true_degree,
-                       length=length, tiles=tuple(tiles), dart_tile=dart_tile,
-                       vertices=tuple(verts), edges=tuple(sorted(edge_ends)))
+                       length=length, tiles=tuple(tiles), dart_tile=tuple(dart_tile),
+                       dart_head=tuple(head), rotation_darts=into,
+                       vertices=tuple(verts), edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +567,15 @@ def validate_tessellation(g: MetricGraph, mode: str = "finite") -> ValidationRep
     for t in g.tiles:
         if t.status != BOUNDED:
             continue
-        heads = [d[1] for d in t.cycle]
+        heads = list(map(g.dart_head.__getitem__, t.cycle))
         if len(t.cycle) < 3 or len(set(heads)) != len(heads) or len(t.edges) != len(t.cycle):
             violations.append(Violation(
                 "ii", f"tile {t.index}",
                 f"bounded face cycle {heads} is not a simple >=3 cycle"))
 
     # (iv): every edge borders two different tiles
-    for e in g.edges:
-        d1, d2 = g.darts_of(e)
-        t1, t2 = g.dart_tile[d1], g.dart_tile[d2]
+    dart_tile = g.dart_tile
+    for e, t1, t2 in zip(g.edges, dart_tile[::2], dart_tile[1::2]):
         if mode == "truncation":
             s1, s2 = g.tiles[t1].status, g.tiles[t2].status
             if s1 != BOUNDED or s2 != BOUNDED:
@@ -610,7 +649,7 @@ def _flood_faces(g: MetricGraph, inner: frozenset[int]):
 
     Tiles lie in one face of H when crossings of edges outside H join them.
     """
-    ends, tiles, dart_tile = g.edge_ends, g.tiles, g.dart_tile
+    head, tiles, dart_tile = g.dart_head, g.tiles, g.dart_tile
     seen = [False] * len(tiles)
     groups: list[list[int]] = []
     indeterminate = 0
@@ -620,10 +659,9 @@ def _flood_faces(g: MetricGraph, inner: frozenset[int]):
         seen[root] = True
         group = [root]
         for t in group:
-            for e, v in tiles[t].cycle:
-                a, b = ends[e]
-                if a not in inner or b not in inner:
-                    u = dart_tile[(e, b if v == a else a)]
+            for d in tiles[t].cycle:
+                if head[d] not in inner or head[d ^ 1] not in inner:
+                    u = dart_tile[d ^ 1]
                     if not seen[u]:
                         seen[u] = True
                         group.append(u)
@@ -658,14 +696,13 @@ def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
     """
     inner = interior_vertices
     if inner and g.has_open_tile:
-        ends, tiles = g.edge_ends, g.tiles
-        darts = [(e, v) for v in inner for e in g.rotation[v]
-                 if ends[e][0] in inner and ends[e][1] in inner]
+        head, tiles, into = g.dart_head, g.tiles, g.rotation_darts
+        darts = [d for v in inner for d in into[v] if head[d ^ 1] in inner]
         counts = Counter(map(g.dart_tile.__getitem__, darts))
         singles = sorted(t for t, n in counts.items() if n == len(tiles[t].cycle))
         if 2 * len(singles) == len(darts) - 2 * len(inner) + 2 \
                 and all(tiles[t].status == BOUNDED for t in singles) \
-                and len(_reach(next(iter(inner)), g.rotation, ends, inner)) == len(inner):
+                and len(_reach(next(iter(inner)), into, head, inner)) == len(inner):
             return [[t] for t in singles], False
     return _flood_faces(g, inner)
 
@@ -684,7 +721,8 @@ def classify_subgraph(g: MetricGraph, sel: SubgraphSelection) -> tuple[bool, boo
     full = sel.interior_vertices
     star_like = False
     if full and set().union(*(g.rotation[v] for v in full)) == sel.edges:
-        star_like = len(_reach(next(iter(full)), g.rotation, g.edge_ends, full)) == len(full)
+        star_like = len(_reach(next(iter(full)), g.rotation_darts, g.dart_head, full)) \
+            == len(full)
 
     groups, ambiguous = _bounded_faces(g, full)
     if ambiguous:
@@ -708,7 +746,8 @@ def complete_closure(g: MetricGraph, sel: SubgraphSelection) -> SubgraphSelectio
         groups, ambiguous = _bounded_faces(g, sel.interior_vertices)
         if ambiguous:
             raise FrontierContact("closure cannot resolve faces near the frontier")
-        to_add = {v for ts in groups for t in ts for _, v in g.tiles[t].cycle
+        to_add = {v for ts in groups for t in ts
+                  for v in map(g.dart_head.__getitem__, g.tiles[t].cycle)
                   if v not in sel.interior_vertices}
         if not to_add:
             return sel

@@ -20,7 +20,6 @@ The canonical form is defined once, by :func:`isotess.interchange.canonical_json
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -73,16 +72,17 @@ def jsonable(x):
     raise TypeError(f"unexpected value {x!r}")
 
 
-def make_report(command: str, result: dict, *, input_bytes: bytes | None = None,
+def make_report(command: str, result: dict, *, input_sha256: str | None = None,
                 family: dict | None = None, **echo) -> dict:
-    """The report of ``command``; ``echo`` holds the settings it echoes
-    (the budget), written beside ``result``."""
+    """The report of ``command``; ``input_sha256`` is the hex digest of the
+    input file, and ``echo`` holds the settings it echoes (the budget),
+    written beside ``result``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "isotess",
         "command": command,
         "input": {
-            "sha256": hashlib.sha256(input_bytes).hexdigest() if input_bytes else None,
+            "sha256": input_sha256,
             "family": family,
         },
         "result": result,

@@ -1,14 +1,17 @@
 """``build_graph`` and ``trace_faces`` against the plain builder they replaced.
 
 The builder checks ids and rotation entries in bulk, folds the rotation
-check into the face-successor map and walks the faces by popping that map,
-recording each dart's face as it goes.  The straightforward builder it
-replaced is kept below as an oracle: one ``_int`` per id, an incident-set
-check per vertex, a tracer with a ``seen`` set, a second pass for each
-dart's face and a Fraction sum per tile.  On family balls and on seeded random
-tessellations (``bench/inputs.py::random_tessellation`` through the
-conftest fixture) both must build equal graphs, and on records with one
-fault each both must raise the same exception class with the same message.
+check into a flat face-successor list over int darts and walks the faces
+over that list, recording each dart's face as it goes.  The
+straightforward builder it replaced is kept below as an oracle, in
+``(edge id, head)`` darts: one ``_int`` per id, an incident-set check per
+vertex, a tracer with a ``seen`` set, a second pass for each dart's face
+and a Fraction sum per tile.  The built graph is read back into those
+terms through ``edges[d >> 1]``, ``dart_head`` and ``dart``.  On family
+balls and on seeded random tessellations
+(``bench/inputs.py::random_tessellation`` through the conftest fixture)
+both must build equal graphs, and on records with one fault each both
+must raise the same exception class with the same message.
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ from isotess.graphcore import (
     INDETERMINATE,
     UNBOUNDED,
     MetricGraph,
-    Tile,
+    _darts,
     _orbits,
-    _reach,
-    _successors,
     build_graph,
     trace_faces,
 )
@@ -61,13 +62,30 @@ def _two_pass_dart_tile(cycles):
 
 
 def _assert_same_orbits(rotation, edge_ends, label):
-    # the one-pass walk's dart -> face map equals the two-pass map, in the
-    # same order, and its faces equal the oracle tracer's
+    # the one-pass walk's dart -> face list equals the two-pass map, and
+    # its faces, read as (edge id, head) darts, equal the oracle tracer's
     cycles = _oracle_trace_faces(rotation, edge_ends)
-    faces, dart_tile = _orbits(_successors(rotation, edge_ends), edge_ends)
-    assert faces == cycles, label
-    assert list(dart_tile.items()) == list(_two_pass_dart_tile(cycles).items()), label
+    edges = sorted(edge_ends)
+    head, _, succ = _darts(rotation, edge_ends, edges)
+    faces, dart_tile = _orbits(succ)
+    assert [[(edges[d >> 1], head[d]) for d in f] for f in faces] == cycles, label
+    assert {(edges[d >> 1], head[d]): t for d, t in enumerate(dart_tile)} \
+        == _two_pass_dart_tile(cycles), label
     assert trace_faces(rotation, edge_ends) == cycles, label
+
+
+def _oracle_reach(start, rotation, edge_ends):
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for e in rotation[v]:
+            a, b = edge_ends[e]
+            w = b if a == v else a
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _oracle_trace_faces(rotation, edge_ends):
@@ -101,7 +119,8 @@ def _oracle_int(x) -> int:
     return x
 
 
-def _oracle_build_graph(record) -> MetricGraph:
+def _oracle_build_graph(record) -> dict:
+    """The graph's fields, darts as (edge id, head) pairs and tiles as tuples."""
     rotation = {}
     edge_ends = {}
     length = {}
@@ -167,7 +186,7 @@ def _oracle_build_graph(record) -> MetricGraph:
             raise MalformedRotation(f"vertex {v} is isolated")
 
     verts = sorted(rotation)
-    unreached = len(verts) - len(_reach(verts[0], rotation, edge_ends))
+    unreached = len(verts) - len(_oracle_reach(verts[0], rotation, edge_ends))
     if unreached:
         raise Disconnected(f"{unreached} vertices unreachable")
 
@@ -210,30 +229,34 @@ def _oracle_build_graph(record) -> MetricGraph:
             status, perimeter = INDETERMINATE, None
         else:
             status, perimeter = BOUNDED, exact_sum([length[e] for e in edges])
-        tiles.append(Tile(index=idx, cycle=tuple(cycle), edges=edges,
-                          degree=len(edges), status=status, perimeter=perimeter,
-                          touches_frontier=touches))
+        tiles.append((idx, tuple(cycle), edges, len(edges), status, perimeter, touches))
 
-    return MetricGraph(rotation=rotation, edge_ends=edge_ends,
-                       frontier_vertices=frontier, true_degree=true_degree,
-                       length=length, tiles=tuple(tiles), dart_tile=dart_tile,
-                       vertices=tuple(verts), edges=tuple(sorted(edge_ends)))
+    return {"rotation": rotation, "edge_ends": edge_ends, "frontier_vertices": frontier,
+            "true_degree": true_degree, "length": length, "tiles": tiles,
+            "dart_tile": dart_tile, "vertices": tuple(verts),
+            "edges": tuple(sorted(edge_ends))}
 
 
 # ---------------------------------------------------------------------------
 # equal graphs
 # ---------------------------------------------------------------------------
 
+def _pair(g: MetricGraph, d: int) -> tuple[int, int]:
+    """Dart ``d`` of ``g`` as (edge id, head)."""
+    return g.edges[d >> 1], g.dart_head[d]
+
+
 def _fields(g: MetricGraph) -> dict:
+    """The oracle's fields of ``g``, darts read as (edge id, head) pairs."""
     return {
         "rotation": g.rotation,
         "edge_ends": g.edge_ends,
         "frontier_vertices": g.frontier_vertices,
         "true_degree": g.true_degree,
         "length": g.length,
-        "tiles": [(t.index, t.cycle, t.edges, t.degree, t.status, t.perimeter,
-                   t.touches_frontier) for t in g.tiles],
-        "dart_tile": g.dart_tile,
+        "tiles": [(t.index, tuple(_pair(g, d) for d in t.cycle), t.edges, t.degree,
+                   t.status, t.perimeter, t.touches_frontier) for t in g.tiles],
+        "dart_tile": {_pair(g, d): t for d, t in enumerate(g.dart_tile)},
         "vertices": g.vertices,
         "edges": g.edges,
     }
@@ -241,13 +264,14 @@ def _fields(g: MetricGraph) -> dict:
 
 def _assert_same_build(record, label) -> MetricGraph:
     got, want = build_graph(record), _oracle_build_graph(record)
-    got_fields, want_fields = _fields(got), _fields(want)
-    for name in want_fields:
-        assert got_fields[name] == want_fields[name], (label, name)
-    assert list(got.true_degree) == list(want.true_degree), label
-    assert list(got.dart_tile.items()) == list(want.dart_tile.items()), label
-    assert all(type(t.perimeter) is type(u.perimeter)
-               for t, u in zip(got.tiles, want.tiles)), label
+    got_fields = _fields(got)
+    for name in want:
+        assert got_fields[name] == want[name], (label, name)
+    assert list(got.true_degree) == list(want["true_degree"]), label
+    assert all(got.dart_tile[got.dart(e, h)] == t
+               for (e, h), t in want["dart_tile"].items()), label
+    assert all(type(t.perimeter) is type(u[5])
+               for t, u in zip(got.tiles, want["tiles"])), label
     return got
 
 

@@ -44,9 +44,9 @@ def _bounded_faces_reference(g, interior_vertices):
         if v in interior_vertices:
             continue
         rot = g.rotation[v]
-        first = find(g.dart_tile[(rot[0], v)])
+        first = find(g.dart_tile[g.dart(rot[0], v)])
         for e in rot[1:]:
-            parent[find(g.dart_tile[(e, v)])] = first
+            parent[find(g.dart_tile[g.dart(e, v)])] = first
 
     groups = {}
     statuses = {}
@@ -253,7 +253,7 @@ def test_frontier_tiles_are_never_bounded(name):
     # unbounded
     g = build_graph(GRAPHS[name]())
     for t in g.tiles:
-        touches = any(v in g.frontier_vertices for _, v in t.cycle)
+        touches = any(g.dart_head[d] in g.frontier_vertices for d in t.cycle)
         assert t.touches_frontier == touches, (name, t.index)
         if touches:
             assert t.status != BOUNDED, (name, t.index)

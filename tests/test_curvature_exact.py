@@ -105,7 +105,7 @@ def _reference_kappa(g, v):
         return None
     value = Fraction(1) - Fraction(g.degree(v), 2)
     for e in g.rotation[v]:
-        tile = g.tile_of((e, v))
+        tile = g.tile_of(g.dart(e, v))
         if tile.status == INDETERMINATE:
             return None
         if tile.status == BOUNDED:

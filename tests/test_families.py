@@ -263,7 +263,7 @@ def test_generator_sweep_structural():
         for t in g.tiles:
             if t.status == "bounded":
                 assert t.degree == q
-                heads = [d[1] for d in t.cycle]
+                heads = [g.dart_head[d] for d in t.cycle]
                 assert len(set(heads)) == len(heads)
         expect = params.char_value
         for c in char_values(g).values():

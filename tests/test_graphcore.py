@@ -1,6 +1,5 @@
 """Graph model: construction, face tracing, validation, subgraph bookkeeping."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -69,11 +68,11 @@ def test_tiles_frozen_equal_and_hashable(k4):
     assert [hash(t) for t in first.tiles] == [hash(t) for t in again.tiles]
     assert len(set(first.tiles) | set(again.tiles)) == len(first.tiles)
     tile = k4.tiles[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         tile.degree = 0
-    assert dataclasses.is_dataclass(tile) and type(tile) is Tile
-    assert tile == Tile(*(getattr(tile, f.name) for f in dataclasses.fields(Tile)))
-    assert tile != dataclasses.replace(tile, status="indeterminate")
+    assert type(tile) is Tile
+    assert tile == Tile(*(getattr(tile, name) for name in Tile._fields))
+    assert tile != tile._replace(status="indeterminate")
 
 
 def test_every_dart_in_exactly_one_face(k4):
@@ -246,8 +245,8 @@ def test_square_corners_star_union_classification():
     g = _ball44(4)
     # corners of one unit square adjacent to the center
     tiles = [t for t in g.tiles if t.status == "bounded"]
-    sq = next(t for t in tiles if 0 in {v for d in t.cycle for v in (d[1],)})
-    corners = {d[1] for d in sq.cycle}
+    sq = next(t for t in tiles if 0 in {g.dart_head[d] for d in t.cycle})
+    corners = {g.dart_head[d] for d in sq.cycle}
     edges = set()
     for v in corners:
         edges.update(g.rotation[v])
