@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     EmptyFrontierFreeRegion,
@@ -85,6 +86,13 @@ class CurvatureReport:
     dT_star: Extended | None
     observed: bool
     counts: dict[str, int] = field(default_factory=dict)
+
+    @cached_property
+    def refined_terms(self) -> tuple[Fraction, Fraction]:
+        """(1 - 1/M - 2/P, 1/P): the factor of deg(bd S) in the refined
+        degree-sum bound and the weight of its cut sides, once per report."""
+        inv_p = reciprocal(self.P)
+        return Fraction(1) - reciprocal(self.M) - 2 * inv_p, inv_p
 
 
 def vertex_weight(g: MetricGraph, v: int) -> Fraction:
@@ -298,12 +306,7 @@ def global_constants(g: MetricGraph) -> CurvatureReport:
         if c_star is None or c.numerator * c_star.denominator < c_star.numerator * c.denominator:
             c_star = c
 
-    K: Fraction | None = None
-    if M is not None and P is not None and M != 2:
-        K = Fraction(1) - reciprocal(M) - 2 * reciprocal(P) \
-            - reciprocal((M - 2)) * reciprocal(P)
-
-    return CurvatureReport(
+    report = CurvatureReport(
         vertex_weight=weights,
         tile_perimeter=perims,
         char_value=cvals,
@@ -313,7 +316,7 @@ def global_constants(g: MetricGraph) -> CurvatureReport:
         c_star=c_star,
         M=M,
         P=P,
-        K=K,
+        K=None,
         deg_star=deg_star,
         dT_star=dT_star,
         observed=not g.is_frontier_free,
@@ -323,6 +326,10 @@ def global_constants(g: MetricGraph) -> CurvatureReport:
             "frontier_free_tiles": len(bounded) + n_unbounded,
         },
     )
+    if M is not None and P is not None and M != 2:
+        factor, inv_p = report.refined_terms
+        report.K = factor - reciprocal(M - 2) * inv_p
+    return report
 
 
 @dataclass(frozen=True)
@@ -369,6 +376,13 @@ def degsum_check(g: MetricGraph, sel: SubgraphSelection,
 
     with the observed M, P of the graph.  Requires S star-like, complete
     and fully determinate.
+
+    Cost, beyond the classification: the left-hand side adds |S| int pairs
+    and builds one Fraction.  The sides of the interior edges are the darts
+    into each interior vertex from another, read off ``g.rotation_darts``
+    and counted per tile with no bisection, and a tile's sides are cut
+    unless it is bounded and all of its darts are among them.  1 - 1/M -
+    2/P and 1/P come from ``report.refined_terms``, taken once per report.
     """
     star_like, complete = classify_subgraph(g, sel)
     if not (star_like and complete):
@@ -388,16 +402,19 @@ def degsum_check(g: MetricGraph, sel: SubgraphSelection,
     lhs = Fraction(*scaled_sum(terms))
     rhs = Fraction(sel.boundary_degree)
 
-    inner, ends = sel.interior_vertices, g.edge_ends
-    interior_edges = {e for e in sel.edges if ends[e][0] in inner and ends[e][1] in inner}
-    cut_sides = 0
-    for e in interior_edges:
-        for dart in g.darts_of(e):
-            tile = g.tile_of(dart)
-            if tile.status != BOUNDED or not tile.edges <= interior_edges:
-                cut_sides += 1
-    inv_p = reciprocal(report.P)
-    tech_rhs = rhs * (Fraction(1) - reciprocal(report.M) - 2 * inv_p) \
-        - inv_p * cut_sides
+    # the sides of the interior edges are the darts into an interior vertex
+    # from another; counted per tile, a side is not cut when its tile is
+    # bounded and every dart of the tile's cycle is one of them
+    inner, head, dart_tile, tiles = sel.interior_vertices, g.dart_head, g.dart_tile, g.tiles
+    sides: dict[int, int] = {}
+    for v in inner:
+        for d in g.rotation_darts[v]:
+            if head[d ^ 1] in inner:
+                t = dart_tile[d]
+                sides[t] = sides.get(t, 0) + 1
+    cut_sides = sum(n for t, n in sides.items()
+                    if n != len(tiles[t].cycle) or tiles[t].status != BOUNDED)
+    factor, inv_p = report.refined_terms
+    tech_rhs = rhs * factor - inv_p * cut_sides
     return DegsumResult(lhs=lhs, rhs=rhs, tech_rhs=tech_rhs,
                         holds=lhs <= rhs and lhs <= tech_rhs)

@@ -43,17 +43,20 @@ cyclic garbage collector paused, as the ``isotess`` commands run it, and
 Closure and classification of a selection need the bounded faces of its
 interior graph H (``_bounded_faces``).  They cost O(|H|) when every bounded
 face of H is a single tile, which holds for every call on the benchmark's
-family balls: the tiles whose darts all lie on H are counted, and when
-Euler's formula says H has exactly one other face, that face is the outer
-one.  Otherwise every tile of the graph is flooded, O(|G|): when H is
-empty or disconnected, when no tile of the graph is unbounded or
+family balls.  When H is a tree other than G, it has no bounded face and
+no tile is read: if a tile's dart cycle lay on H, the rotation successor
+at each vertex on the walk would map H-edges to H-edges, each rotation is
+one cycle, so every edge at such a vertex would be in H, and H would be
+all of G.  Otherwise the tiles whose darts all lie on H are counted, and
+when Euler's formula says H has exactly one other face, that face is the
+outer one.  Otherwise every tile of the graph is flooded, O(|G|): when H
+is empty or disconnected, when no tile of the graph is unbounded or
 indeterminate, or when H encloses a face that is not a single tile.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -170,7 +173,7 @@ class MetricGraph:
         return {e: (ell.numerator, ell.denominator) for e, ell in self.length.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubgraphSelection:
     """A connected edge subset: the vertices whose whole star it holds, the
     selection degrees of the others summed, and its total length.  Readers
@@ -684,8 +687,12 @@ def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
     face cannot be identified).
 
     Cost: O(|H|) when every bounded face of H is a single tile, which holds
-    on the family balls, and O(|G|) otherwise.  A tile whose darts all lie
-    on H is a face of H by itself.  By Euler's formula a connected H has
+    on the family balls, and O(|G|) otherwise.  A connected H with
+    2|V_H| - 2 darts is a tree.  When it is not all of G, no tile's dart
+    cycle lies on it (module docstring), so its one face holds every tile
+    and, given a tile that is not bounded, is not bounded: the answer is
+    no group, and no tile is read.  A tile whose darts all lie on H is a
+    face of H by itself.  By Euler's formula a connected H has
     |E_H| - |V_H| + 2 - 2g faces for some genus g >= 0, so when such tiles
     number |E_H| - |V_H| + 1 and are all bounded, g = 0 and H has exactly
     one other face.  Every other tile lies in it, so when the graph has a
@@ -698,7 +705,12 @@ def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
     if inner and g.has_open_tile:
         head, tiles, into = g.dart_head, g.tiles, g.rotation_darts
         darts = [d for v in inner for d in into[v] if head[d ^ 1] in inner]
-        counts = Counter(map(g.dart_tile.__getitem__, darts))
+        if len(darts) == 2 * len(inner) - 2 and len(inner) < len(g.vertices) \
+                and len(_reach(next(iter(inner)), into, head, inner)) == len(inner):
+            return [], False
+        counts: dict[int, int] = {}
+        for t in map(g.dart_tile.__getitem__, darts):
+            counts[t] = counts.get(t, 0) + 1
         singles = sorted(t for t, n in counts.items() if n == len(tiles[t].cycle))
         if 2 * len(singles) == len(darts) - 2 * len(inner) + 2 \
                 and all(tiles[t].status == BOUNDED for t in singles) \

@@ -250,6 +250,14 @@ def enumerate_connected_subgraphs(g: MetricGraph, max_edges: int,
     return out
 
 
+def _vertex_nbrs(g: MetricGraph, vertex_ids: Sequence[int]) -> list[list[int]]:
+    """Sorted adjacency lists over the indices of the sorted ``vertex_ids``."""
+    vidx = {v: i for i, v in enumerate(vertex_ids)}
+    return [sorted(vidx[w] for w in (g.other_end(e, v) for e in g.rotation[v])
+                   if w in vidx)
+            for v in vertex_ids]
+
+
 def _scan_connected_vertex_sets(g: MetricGraph, vertex_ids: Sequence[int],
                                 max_size: int, visit: Callable,
                                 max_yield: int) -> int:
@@ -258,11 +266,8 @@ def _scan_connected_vertex_sets(g: MetricGraph, vertex_ids: Sequence[int],
     ``visit(stack, boundary_edges, degree_sum)`` runs once per set;
     ``stack`` holds indices into ``vertex_ids``.
     """
-    vidx = {v: i for i, v in enumerate(vertex_ids)}
     truedeg = _true_degrees(g, vertex_ids)
-    nbrs = [sorted(vidx[w] for w in (g.other_end(e, v) for e in g.rotation[v])
-                   if w in vidx)
-            for v in vertex_ids]
+    nbrs = _vertex_nbrs(g, vertex_ids)
 
     in_set = bytearray(len(vertex_ids))
     sumdeg = 0
@@ -306,32 +311,47 @@ def enumerate_starlike_complete(g: MetricGraph, max_generators: int,
     (or ``generators_from``); each union of stars is closed up and
     deduplicated by edge set.  Candidates whose closure escapes the safe
     region are skipped and counted; returns (selections, skipped).
+
+    The unions grow inside the ESU scan: ``push`` and ``pop`` keep the
+    union of the stars of the scan's stack, and each candidate, that union
+    with one more star, is measured, closed and deduplicated as soon as it
+    is built, one ``subgraph_stats`` and one ``complete_closure`` call
+    each.  Candidates come in the scan's order, so the selections, their
+    order and ``skipped`` are those of closing every set after the scan,
+    and a scan that would pass ``max_yield`` sets raises BudgetExceeded at
+    the same count.
     """
     vertex_ids = sorted(generators_from if generators_from is not None
                         else g.frontier_free_vertices())
-    vertex_sets: list[tuple[int, ...]] = []
-
-    def visit(stack, cut, sumdeg):
-        vertex_sets.append(tuple(vertex_ids[i] for i in stack))
-
-    _scan_connected_vertex_sets(g, vertex_ids, max_generators, visit, max_yield)
-
+    _true_degrees(g, vertex_ids)  # FrontierContact on a generator of unknown degree
+    nbrs = _vertex_nbrs(g, vertex_ids)
+    stars = [frozenset(g.rotation[v]) for v in vertex_ids]
+    # unions[k] is the union of the stars of the first k nodes of the stack
+    unions: list[frozenset[int]] = [frozenset()]
     seen: set[frozenset[int]] = set()
     out: list[SubgraphSelection] = []
     skipped = 0
-    for U in vertex_sets:
-        edges: set[int] = set()
-        for v in U:
-            edges.update(g.rotation[v])
-        try:
-            sel = complete_closure(g, subgraph_stats(g, edges))
-        except FrontierContact:
-            skipped += 1
-            continue
-        if sel.edges in seen:
-            continue
-        seen.add(sel.edges)
-        out.append(sel)
+
+    def push(i: int) -> None:
+        unions.append(unions[-1] | stars[i])
+
+    def pop(i: int) -> None:
+        unions.pop()
+
+    def emit(stack: list[int], cands: Sequence[int]) -> None:
+        nonlocal skipped
+        base = unions[-1]
+        for j in cands:
+            try:
+                sel = complete_closure(g, subgraph_stats(g, base | stars[j]))
+            except FrontierContact:
+                skipped += 1
+                continue
+            if sel.edges not in seen:
+                seen.add(sel.edges)
+                out.append(sel)
+
+    _esu(nbrs, max_generators, push, pop, emit, max_yield)
     return out, skipped
 
 

@@ -4,11 +4,13 @@ The ``_reference_*`` functions below compute every curvature quantity the
 straightforward way, one Fraction operation per term: edge lengths parsed
 per edge, weights m(v), tile perimeters p(T), characteristic values c(e),
 vertex curvatures kappa(v), the constants ell*, ell_min, M, P, K, c_*,
-deg*, d_T* and the Gauss-Bonnet total.  ``build_graph``,
-``global_constants`` and ``gauss_bonnet_check`` must agree with them
-field by field, value and type, on seeded random tessellations, family
-truncations and the finite corpus with seeded rational lengths.  A
-failure names its seed; ``random.Random`` with that string replays it.
+deg*, d_T* and the Gauss-Bonnet total, and both sides of the degree-sum
+inequalities of a star-like complete subgraph.  ``build_graph``,
+``global_constants``, ``gauss_bonnet_check`` and ``degsum_check`` must
+agree with them field by field, value and type, on seeded random
+tessellations, family truncations and the finite corpus with seeded
+rational lengths.  A failure names its seed; ``random.Random`` with that
+string replays it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 import pytest
 
 from isotess.curvature import (
+    degsum_check,
     gauss_bonnet_check,
     global_constants,
     vertex_curvature,
@@ -34,9 +37,11 @@ from isotess.families import (
     gen_pq_ball,
 )
 from isotess.graphcore import BOUNDED, INDETERMINATE, UNBOUNDED, build_graph
+from isotess.isoperimetry import enumerate_starlike_complete
 from isotess.rational import INF
 
 from conftest import finite_corpus
+from test_closure_local import _distances
 
 # lengths as an input file may spell them: "p/q", integers and decimals
 LENGTH_POOL = ["1", "2", "3/2", "0.25", "7/3", "5/8", "1.5", "9/7", "4/9", "0.2", " 6/4 "]
@@ -163,6 +168,23 @@ def _reference_gauss_bonnet(g):
     return total
 
 
+def _reference_degsum(g, sel, report):
+    """(lhs, rhs, tech_rhs, holds), the interior edges and each side's tile
+    read edge by edge."""
+    lhs = sum((report.char_value[e] * g.length[e] for e in sel.edges), Fraction(0))
+    rhs = Fraction(sel.boundary_degree)
+    interior = {e for e in sel.edges if set(g.edge_ends[e]) <= sel.interior_vertices}
+    cut_sides = 0
+    for e in interior:
+        for dart in g.darts_of(e):
+            tile = g.tile_of(dart)
+            if tile.status != BOUNDED or not tile.edges <= interior:
+                cut_sides += 1
+    inv_p = Fraction(0) if report.P == INF else Fraction(1) / report.P
+    tech_rhs = rhs * (Fraction(1) - Fraction(1) / report.M - 2 * inv_p) - inv_p * cut_sides
+    return lhs, rhs, tech_rhs, lhs <= rhs and lhs <= tech_rhs
+
+
 # ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
@@ -253,6 +275,37 @@ def test_finite_corpus_matches_reference(index):
         result = gauss_bonnet_check(g)
         assert _same(result.total, _reference_gauss_bonnet(g)), seed
         assert result.holds and result.total == 1, seed
+
+
+def _check_degsum(g, sels, seed: str) -> None:
+    report = global_constants(g)
+    assert sels, seed
+    for k, sel in enumerate(sels):
+        got = degsum_check(g, sel, report=report)
+        want = _reference_degsum(g, sel, report)
+        assert _same([got.lhs, got.rhs, got.tech_rhs, got.holds], list(want)), (seed, k)
+
+
+@pytest.mark.parametrize("seed", [f"degsum:{i}" for i in range(20)])
+@pytest.mark.parametrize("outer", [True, False], ids=["outer", "closed"])
+def test_random_degsum_matches_reference(random_tessellation, seed, outer):
+    # without its unbounded mark the outer face is a bounded tile, so P is
+    # finite and the cut sides count in the refined right-hand side
+    rng = random.Random(seed)
+    record = _relength(random_tessellation(rng, rng.randint(1, 20)), rng)
+    if not outer:
+        record["unbounded_face_reps"] = []
+    g = build_graph(record)
+    _check_degsum(g, enumerate_starlike_complete(g, 3)[0], seed)
+
+
+@pytest.mark.parametrize("p,q,radius", [(4, 4, 5), (3, 7, 6), (7, 3, 4)])
+def test_family_degsum_matches_reference(p, q, radius):
+    # the criterion-8 sweep: generators within distance 2 of vertex 0
+    g = build_graph(gen_pq_ball(PQParams(p, q), radius))
+    gens = sorted(_distances(g, 0, limit=2))
+    _check_degsum(g, enumerate_starlike_complete(g, 6, generators_from=gens)[0],
+                  f"degsum:pq{p}{q}r{radius}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ the star-like pass there must never flood.  On a random tessellation a
 star-like selection can enclose a face of several tiles; the flood must
 then run, and agree with the union-find oracle of
 ``tests/test_closure_local.py``, as it must for a disconnected interior
-graph whose tile count matches that of a connected one.
+graph whose tile count matches that of a connected one.  When the
+interior graph is a tree other than the whole graph, the pass answers
+without reading any tile; a finite tree record, whose interior graph can
+be the whole graph, must still count and flood.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -95,3 +99,93 @@ def test_disconnected_interior_that_meets_the_count_floods():
     assert {frozenset(ts) for ts in groups} == {frozenset(ts) for ts in want}
     assert ambiguous == want_ambiguous
     assert sorted(map(len, groups)) == [4]
+
+
+class _Unread:
+    """A ``dart_tile`` that fails when read."""
+
+    def __getitem__(self, d):
+        raise AssertionError(f"read the tile of dart {d}")
+
+
+def _is_tree(g, inner) -> bool:
+    """Whether the graph induced on ``inner`` is a tree."""
+    edges = [e for e in g.edges if set(g.edge_ends[e]) <= inner]
+    reached, todo = {min(inner)}, [min(inner)]
+    while todo:
+        v = todo.pop()
+        for e in edges:
+            a, b = g.edge_ends[e]
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+    return reached == inner and len(edges) == len(inner) - 1
+
+
+def _tree_interiors(g, generators, gens=None) -> list[frozenset[int]]:
+    """The tree-shaped interiors the star-like pass asks the face pass about."""
+    inners = set()
+    bounded_faces = graphcore._bounded_faces
+
+    def recorded(g, inner):
+        inners.add(inner)
+        return bounded_faces(g, inner)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graphcore, "_bounded_faces", recorded)
+        enumerate_starlike_complete(g, generators, generators_from=gens)
+    return sorted((inner for inner in inners if inner and _is_tree(g, inner)), key=sorted)
+
+
+def _assert_tree_shortcut(g, inners, label) -> None:
+    assert inners, label
+    unread = dataclasses.replace(g, dart_tile=_Unread())
+    for inner in inners:
+        got = graphcore._bounded_faces(unread, inner)
+        assert got == ([], False), (label, sorted(inner))
+        want, want_ambiguous = _bounded_faces_reference(g, inner)
+        assert (want, want_ambiguous) == ([], False), (label, sorted(inner))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_PASSES))
+def test_family_tree_interiors_read_no_tile(name):
+    make, generators, radius = FAMILY_PASSES[name]
+    g = build_graph(make())
+    gens = None if radius is None else sorted(_distances(g, 0, limit=radius))
+    _assert_tree_shortcut(g, _tree_interiors(g, generators, gens), name)
+
+
+@pytest.mark.parametrize("seed", [f"tree:{i}" for i in range(30)])
+def test_random_tree_interiors_read_no_tile(random_tessellation, seed):
+    rng = random.Random(seed)
+    g = build_graph(random_tessellation(rng, rng.randint(1, 20)))
+    _assert_tree_shortcut(g, _tree_interiors(g, 3), seed)
+
+
+def test_whole_graph_tree_counts_and_floods(monkeypatch):
+    # the path 0 - 1 - 2 - 3 with one face, declared unbounded: with every
+    # vertex interior, H is all of G and that face's cycle lies on H
+    record = {
+        "vertices": [{"id": 0, "rotation": [0]}, {"id": 1, "rotation": [0, 1]},
+                     {"id": 2, "rotation": [1, 2]}, {"id": 3, "rotation": [2]}],
+        "edges": [{"id": k, "ends": [k, k + 1], "length": "1"} for k in range(3)],
+        "unbounded_face_reps": [[0, 1]],
+    }
+    g = build_graph(record)
+    assert len(g.tiles) == 1
+    flood = graphcore._flood_faces
+    floods = []
+
+    def counted_flood(g, inner):
+        floods.append(inner)
+        return flood(g, inner)
+
+    monkeypatch.setattr(graphcore, "_flood_faces", counted_flood)
+    for inner in (frozenset(g.vertices), frozenset({1, 2}), frozenset({0})):
+        got = graphcore._bounded_faces(g, inner)
+        assert got == _bounded_faces_reference(g, inner), sorted(inner)
+    assert floods == [frozenset(g.vertices)]
+    with pytest.raises(AssertionError, match="read the tile"):
+        graphcore._bounded_faces(dataclasses.replace(g, dart_tile=_Unread()),
+                                 frozenset(g.vertices))
