@@ -2,16 +2,22 @@
 
 Every analysis command takes one path, `_analyze`: read the interchange
 file once, build the graph, run the command's function from `_ANALYSES`
-(graph, family block, args -> result, exit code) and emit one canonical
-report.  A function returns the library's result as it is (brackets,
-bounds, violations, Fractions, Surds, tuples) and `_emit` writes it with
-`reports.jsonable`; only `faces` and `curvature` write their own results,
-quantity by quantity with `reports.value_json`.  Budgeted commands find
-their `Budget` in ``args.budget`` and echo it.  Generator commands write
-interchange files; `witness` loads its optional input the same way.  Each
-command takes only the flags it reads.  Enumeration runs in one process; ``--workers`` is
-accepted by alpha and compare but changes nothing, so identical inputs and
-budgets produce byte-identical reports.
+(graph, family, args -> result, exit code) and emit one canonical report,
+which echoes the record's raw family block.  The four budgeted commands
+(bounds, alpha, comb-alpha, compare) find their `Budget` in
+``args.budget`` and echo it, and get the block read once, by
+`families.read_family` against the built graph, before anything is
+enumerated; the other commands get None and never read it.  A function
+returns the library's result as it is (brackets, bounds, violations,
+Fractions, Surds, tuples) and `_emit` writes it with `reports.jsonable`;
+only `faces` and `curvature` write their own results, quantity by quantity
+with `reports.value_json`.  Generator commands write interchange files;
+`witness` loads its optional input the same way.  A command takes no flag
+that only another command reads, but not every flag it takes changes its
+result: bounds and comb-alpha accept ``--budget-edges`` and echo it in
+the budget without reading it, and alpha and compare accept ``--workers``,
+though enumeration runs in one process.  So identical inputs and budgets
+produce byte-identical reports.
 
 `main` pauses Python's cyclic garbage collector while a command runs and
 restores the caller's setting afterwards.  Reference counting frees what a
@@ -37,7 +43,6 @@ import gc
 import hashlib
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import families, graphcore, interchange, reports
@@ -53,12 +58,12 @@ from .graphcore import MetricGraph, validate_tessellation
 from .isoperimetry import (
     AlphaBracket,
     Budget,
+    Family,
     alpha_bracket,
     alpha_comb_upper_bruteforce,
     equilateral_transform,
     lower_bounds,
 )
-from .rational import Surd
 from .reports import value_json
 
 EXIT_OK = 0
@@ -215,21 +220,10 @@ def _gauss_bonnet(g: MetricGraph, family, args) -> tuple[dict, int]:
     return {"sum": res.total, "holds": res.holds}, EXIT_OK
 
 
-def _certified_lengths(g: MetricGraph, family) -> tuple[Fraction | None, Fraction | None]:
-    """The family's certified (ell_star, ell_min); InputFormatError when an
-    edge length lies outside them, since the family's bounds assume them."""
-    ell_star, ell_min = families.certified_lengths(family)
-    if ell_min is not None and min(g.length.values()) < ell_min:
-        raise InputFormatError(f"an edge is shorter than the family's ell_min {ell_min}")
-    if ell_star is not None and max(g.length.values()) > ell_star:
-        raise InputFormatError(f"an edge is longer than the family's ell_star {ell_star}")
-    return ell_star, ell_min
-
-
-def _bounds(g: MetricGraph, family, args) -> tuple[dict, int]:
-    family_lower = [b for b in families.family_bounds(family) if b.side == "lower"]
+def _bounds(g: MetricGraph, family: Family, args) -> tuple[dict, int]:
+    family_lower = [b for b in family.bounds if b.side == "lower"]
     if any(b.value > 0 for b in family_lower):  # 0 is a lower bound for any lengths
-        _certified_lengths(g, family)
+        family.check_lengths(g)
     bounds = lower_bounds(g, budget=args.budget)
     bounds.extend(family_lower)
     # a finite graph's alpha is 0 (the whole graph has empty boundary)
@@ -239,39 +233,34 @@ def _bounds(g: MetricGraph, family, args) -> tuple[dict, int]:
     return {"bounds": bounds}, EXIT_OK
 
 
-def _bracket(g: MetricGraph, family, args) -> AlphaBracket:
-    ell_star, ell_min = _certified_lengths(g, family)
-    return alpha_bracket(
-        g, args.budget, family_bounds=families.family_bounds(family),
-        certified_ell_star=ell_star, certified_ell_min=ell_min,
-        workers=args.workers)
+def _bracket(g: MetricGraph, family: Family, args) -> AlphaBracket:
+    family.check_lengths(g)
+    return alpha_bracket(g, args.budget, family, workers=args.workers)
 
 
-def _alpha(g: MetricGraph, family, args) -> tuple[AlphaBracket, int]:
+def _alpha(g: MetricGraph, family: Family, args) -> tuple[AlphaBracket, int]:
     return _bracket(g, family, args), EXIT_OK
 
 
-def _comb(g: MetricGraph, family, args) -> tuple[dict, Fraction | Surd | None]:
-    """The comb-alpha result and the family's closed-form alpha_comb."""
+def _comb(g: MetricGraph, family: Family, args) -> dict:
     res = alpha_comb_upper_bruteforce(g, args.budget)
-    closed = families.family_comb_closed_form(family)
     return {"best_upper": res.value, "witness_vertices": res.witness_vertices,
-            "enumerated": res.enumerated, "closed_form": closed}, closed
+            "enumerated": res.enumerated, "closed_form": family.alpha_comb}
 
 
-def _comb_alpha(g: MetricGraph, family, args) -> tuple[dict, int]:
+def _comb_alpha(g: MetricGraph, family: Family, args) -> tuple[dict, int]:
     """OutOfRange when the closed form exceeds the enumerated upper bound."""
-    comb, closed = _comb(g, family, args)
-    if closed is not None and closed > comb["best_upper"]:
+    comb = _comb(g, family, args)
+    if family.alpha_comb is not None and family.alpha_comb > comb["best_upper"]:
         raise OutOfRange("the closed-form alpha_comb exceeds the enumerated upper bound")
     return comb, EXIT_OK
 
 
-def _compare(g: MetricGraph, family, args) -> tuple[dict, int]:
+def _compare(g: MetricGraph, family: Family, args) -> tuple[dict, int]:
     """Side-by-side record; flags a certified 0-vs-positive divergence."""
     bracket = _bracket(g, family, args)
-    comb, closed = _comb(g, family, args)
-    exact = bracket.alpha_exact
+    comb = _comb(g, family, args)
+    closed, exact = family.alpha_comb, bracket.alpha_exact
     positive = any(x is not None and x > 0 for x in (bracket.best_lower, exact))
     divergence = (closed == 0 and positive) or \
                  (exact == 0 and closed is not None and closed > 0)
@@ -306,16 +295,17 @@ _ANALYSES = {
 def _analyze(args) -> int:
     """Load and build the input graph, run one analysis, emit its report."""
     record, digest = _load(args.input)
-    g, family = graphcore.build_graph(record), record.get("family")
+    g, block = graphcore.build_graph(record), record.get("family")
     del record  # nothing reads the record after the build
-    echo = {}
+    family, echo = None, {}
     if args.command in _BUDGETED:
+        family = families.read_family(block, g)
         args.budget = Budget(max_edges=args.budget_edges,
                              max_generators=args.budget_generators,
                              max_yield=args.max_yield)
         echo = {"budget": dataclasses.asdict(args.budget)}
     result, code = _ANALYSES[args.command][1](g, family, args)
-    _emit(args, result, digest, family, **echo)
+    _emit(args, result, digest, block, **echo)
     return code
 
 

@@ -47,6 +47,10 @@ class NotFiniteTessellation(GraphError):
     """Operation requires a finite graph passing the tessellation checks."""
 
 
+class FamilyMismatch(GraphError):
+    """Family block that the graph it describes contradicts."""
+
+
 class NotStarLikeComplete(GraphError):
     """Subgraph is not star-like and complete."""
 

@@ -5,6 +5,11 @@ carrying a ``family`` metadata block, so every analysis is reproducible
 from the file alone.  Truncations are honest: vertices with incomplete
 stars are frontier-marked with their true degrees, and only genuinely
 unbounded faces are declared unbounded.
+
+:func:`read_family` is the one reader of a block: it dispatches on its
+``kind`` once and returns the :class:`~isotess.isoperimetry.Family` of
+closed forms the analyses certify with, after checking a (p, q) block
+against the graph it came with.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    FamilyMismatch,
     GraphError,
     InputFormatError,
     NegativeCurvatureParams,
@@ -23,9 +29,9 @@ from .errors import (
     RadiusTooSmall,
     TruncationTooShallow,
 )
-from .graphcore import MetricGraph, subgraph_stats
+from .graphcore import BOUNDED, MetricGraph, subgraph_stats
 from .interchange import make_record
-from .isoperimetry import Bound
+from .isoperimetry import Bound, Family
 from .rational import Surd, _digit_limit, _too_long
 
 
@@ -589,30 +595,77 @@ def _gk_tree_edges(graph: MetricGraph, k: int, root: int, l: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# certified family bounds for bracket assembly
+# the family block
 # ---------------------------------------------------------------------------
 
-def _family_params(family) -> PQParams | GkParams | NETreeParams | None:
-    """Generator parameters of a family block; None if absent or of unknown kind.
+def read_family(block, g: MetricGraph | None = None) -> Family:
+    """What the family block ``block`` certifies; Family() if absent or of unknown kind.
+
+    (p, q): the closed forms of :func:`closed_forms_pq`, alpha both ways
+    and c_*/K below it when c > 0 or q = infinity, unit lengths.  G_k: c_*/K
+    below, the witness limit (k-2)/(k-1) above and alpha_comb 0 (the
+    half-plane lattice already has vanishing combinatorial constant);
+    ell_star = 1 and no ell_min, since inf |e| = 0 over the infinite graph.
+    Non-equilateral trees: alpha_S >= (1/2)(p-2)/(p-1), the p-regular
+    tree's alpha_comb, ell_star = p and ell_min = 1.
 
     A non-object block or a missing or non-integer field (``q`` may be
     "inf") is InputFormatError; a value the generator rejects raises its
-    error.
+    error.  Given ``g``, a (p, q) block is checked against it first: ``g``
+    must have a frontier, no vertex more than p edges and every known
+    degree p, and every bounded tile q sides (none when q is infinite);
+    else FamilyMismatch, naming the first vertex or tile that differs.
     """
-    if family is None:
-        return None
-    if not isinstance(family, dict):
-        raise InputFormatError(f"family block is not an object: {family!r}")
-    kind = family.get("kind")
+    if block is None:
+        return Family()
+    if not isinstance(block, dict):
+        raise InputFormatError(f"family block is not an object: {block!r}")
+    kind = block.get("kind")
     if kind == "pq":
-        p = _int_field(family, "p")
-        q = math.inf if family.get("q") == "inf" else _int_field(family, "q")
-        return PQParams(p=p, q=q)
+        params = PQParams(_int_field(block, "p"),
+                          math.inf if block.get("q") == "inf" else _int_field(block, "q"))
+        if g is not None:
+            _check_pq(g, params)
+        forms = closed_forms_pq(params)
+        exact = "exact alpha of the (p,q) family"
+        bounds = [Bound(forms.alpha, "closed_form", "lower", True, note=exact),
+                  Bound(forms.alpha, "closed_form", "upper", True, note=exact)]
+        if forms.c > 0 or params.is_tree:
+            bounds.insert(0, Bound(forms.alpha_lower, "cK_lower", "lower", True,
+                                   note="closed form c_*/K of the (p,q) family"))
+        return Family(tuple(bounds), forms.alpha_comb, Fraction(1), Fraction(1))
     if kind == "gk":
-        return GkParams(k=_int_field(family, "k"))
+        consts = gk_closed_constants(_int_field(block, "k"))
+        return Family((Bound(consts["alpha_lower"], "cK_lower", "lower", True,
+                             note="closed form c_*/K of G_k"),
+                       Bound(consts["alpha_upper"], "closed_form", "upper", True,
+                             note="limit of the attached-tree witness ratios")),
+                      Fraction(0), Fraction(1))
     if kind == "netree":
-        return NETreeParams(p=_int_field(family, "p"))
-    return None
+        p = NETreeParams(_int_field(block, "p")).p
+        return Family((Bound(Fraction(p - 2, 2 * (p - 1)), "closed_form", "lower", True,
+                             target="alpha_S",
+                             note="alpha_S >= (1/2)(p-2)/(p-1): star-like complete "
+                                  "subgraphs have mes <= 2#edges"),),
+                      Fraction(p - 2, p), Fraction(p), Fraction(1))
+    return Family()
+
+
+def _check_pq(g: MetricGraph, params: PQParams) -> None:
+    """FamilyMismatch unless ``g`` could be a ball of the (p, q) tessellation."""
+    p, q = params.p, params.q
+    if g.is_frontier_free:
+        raise FamilyMismatch("family pq: the graph has no frontier, so it is "
+                             "no ball of an infinite tessellation")
+    for v in g.vertices:
+        td = g.true_degree[v]
+        if td != p and (td is not None or g.degree(v) > p):
+            raise FamilyMismatch(f"family pq: vertex {v} has degree "
+                                 f"{td or g.degree(v)}, not p = {p}")
+    for t in g.tiles:
+        if t.status == BOUNDED and (params.is_tree or t.degree != q):
+            raise FamilyMismatch(f"family pq: tile {t.index} has {t.degree} "
+                                 f"sides, not q = {q}")
 
 
 def _int_field(family: dict, name: str) -> int:
@@ -622,66 +675,3 @@ def _int_field(family: dict, name: str) -> int:
         raise InputFormatError(f"family {family.get('kind')}: {name} must be an "
                                f"integer, got {value!r}")
     return value
-
-
-def certified_lengths(family: dict | None) -> tuple[Fraction | None, Fraction | None]:
-    """(ell_star, ell_min) of the full infinite graph, when the family knows."""
-    params = _family_params(family)
-    if isinstance(params, PQParams):
-        return Fraction(1), Fraction(1)
-    if isinstance(params, NETreeParams):
-        return Fraction(params.p), Fraction(1)
-    if isinstance(params, GkParams):
-        return Fraction(1), None  # inf |e| = 0 over the infinite graph
-    return None, None
-
-
-def family_comb_closed_form(family: dict | None):
-    """Certified alpha_comb of the underlying combinatorial graph, if known.
-
-    (p, q): ((p-2)/p) sqrt(1 - 4/((p-2)(q-2))), a Surd for a finite q;
-    G_k: 0 (the half-plane lattice already has vanishing combinatorial
-    constant); non-equilateral trees: the combinatorial graph is still the
-    p-regular tree.
-    """
-    params = _family_params(family)
-    if isinstance(params, PQParams):
-        return closed_forms_pq(params).alpha_comb
-    if isinstance(params, GkParams):
-        return Fraction(0)
-    if isinstance(params, NETreeParams):
-        return Fraction(params.p - 2, params.p)
-    return None
-
-
-def family_bounds(family: dict | None) -> list[Bound]:
-    """Certified closed-form bounds on alpha for a generated family graph."""
-    params = _family_params(family)
-    out: list[Bound] = []
-    if isinstance(params, PQParams):
-        forms = closed_forms_pq(params)
-        if forms.c > 0 or params.is_tree:
-            out.append(Bound(value=forms.alpha_lower, provenance="cK_lower",
-                             side="lower", certified=True,
-                             note="closed form c_*/K of the (p,q) family"))
-        out.append(Bound(value=forms.alpha, provenance="closed_form",
-                         side="lower", certified=True,
-                         note="exact alpha of the (p,q) family"))
-        out.append(Bound(value=forms.alpha, provenance="closed_form",
-                         side="upper", certified=True,
-                         note="exact alpha of the (p,q) family"))
-    elif isinstance(params, GkParams):
-        consts = gk_closed_constants(params.k)
-        out.append(Bound(value=consts["alpha_lower"], provenance="cK_lower",
-                         side="lower", certified=True,
-                         note="closed form c_*/K of G_k"))
-        out.append(Bound(value=consts["alpha_upper"], provenance="closed_form",
-                         side="upper", certified=True,
-                         note="limit of the attached-tree witness ratios"))
-    elif isinstance(params, NETreeParams):
-        out.append(Bound(value=Fraction(params.p - 2, 2 * (params.p - 1)),
-                         provenance="closed_form", side="lower", certified=True,
-                         target="alpha_S",
-                         note="alpha_S >= (1/2)(p-2)/(p-1): star-like complete "
-                              "subgraphs have mes <= 2#edges"))
-    return out

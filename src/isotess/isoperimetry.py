@@ -27,13 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .curvature import CurvatureReport, global_constants
 from .errors import (
     BudgetExceeded,
     EmptyFrontierFreeRegion,
     FrontierContact,
+    InputFormatError,
     NonPositiveEllMin,
     OutOfRange,
 )
@@ -77,6 +78,30 @@ class Bound:
     target: str = "alpha"
     witness: tuple[int, ...] | None = None
     note: str = ""
+
+
+class Family(NamedTuple):
+    """What a family block certifies about the underlying infinite graph.
+
+    ``bounds`` are its closed-form bounds on alpha, ``alpha_comb`` its
+    closed-form combinatorial constant, ``ell_star`` and ``ell_min`` the
+    sup and inf of its edge lengths; None where the family says nothing.
+    :func:`isotess.families.read_family` builds one from a block; the
+    empty ``Family()`` stands for a record without one.
+    """
+
+    bounds: tuple[Bound, ...] = ()
+    alpha_comb: Fraction | Surd | None = None
+    ell_star: Fraction | None = None
+    ell_min: Fraction | None = None
+
+    def check_lengths(self, g: MetricGraph) -> None:
+        """InputFormatError when an edge length of ``g`` lies outside the
+        family's [ell_min, ell_star], since its bounds assume them."""
+        if self.ell_min is not None and min(g.length.values()) < self.ell_min:
+            raise InputFormatError(f"an edge is shorter than the family's ell_min {self.ell_min}")
+        if self.ell_star is not None and max(g.length.values()) > self.ell_star:
+            raise InputFormatError(f"an edge is longer than the family's ell_star {self.ell_star}")
 
 
 # ---------------------------------------------------------------------------
@@ -558,20 +583,20 @@ def equilateral_transform(alpha_comb: Fraction | Surd) -> Fraction | Surd:
 
 
 def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
-                  family_bounds: Sequence[Bound] = (),
-                  certified_ell_star: Fraction | None = None,
-                  certified_ell_min: Fraction | None = None,
-                  workers: int = 1) -> AlphaBracket:
+                  family: Family = Family(), workers: int = 1) -> AlphaBracket:
     """Assemble all lower/upper bounds on alpha.
 
     Always includes the universal upper bound 2/ell*.  If some certified
     lower bound on alpha_S (or alpha) reaches a certified 2/ell*, alpha
     equals 2/ell* exactly and the bracket collapses.  For genuinely finite
     graphs alpha is trivially 0 (the whole graph has empty boundary) and
-    the infimum over proper subgraphs is reported separately.  A best
-    certified lower bound above the best certified upper bound, such as a
-    family's alpha > 0 on a finite graph, is OutOfRange.  ``workers``
-    selects nothing, as in :func:`alpha_upper_bruteforce`.
+    the infimum over proper subgraphs is reported separately.  ``family``
+    is the record's :class:`Family`: its bounds join the bracket, and its
+    ell_star and ell_min, where given, stand in for the observed ones and
+    certify 2/ell* and the Cheeger interval.  A best certified lower bound
+    above the best certified upper bound, such as a family's alpha > 0 on
+    a finite graph, is OutOfRange.  ``workers`` selects nothing, as in
+    :func:`alpha_upper_bruteforce`.
     """
     budget = budget or Budget()
     report = global_constants(g)
@@ -579,11 +604,11 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
     bounds = bracket.bounds
     finite = g.is_frontier_free
 
-    ell_star = certified_ell_star if certified_ell_star is not None else report.ell_star
+    ell_star = family.ell_star if family.ell_star is not None else report.ell_star
     bounds.append(Bound(value=Fraction(2) / ell_star, provenance="ellstar_upper",
                         side="upper", certified=True,
                         note="alpha <= 2/ell*"
-                             + ("" if certified_ell_star or finite
+                             + ("" if family.ell_star or finite
                                 else " (observed ell*, still an upper bound)")))
 
     try:
@@ -596,7 +621,7 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
                             certified=False, note=f"not available: {exc}"))
 
     bounds.extend(lower_bounds(g, report=report, budget=budget))
-    bounds.extend(family_bounds)
+    bounds.extend(family.bounds)
 
     if finite:
         bracket.alpha_exact = Fraction(0)
@@ -616,8 +641,8 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
     else:
         # reduction rule: a certified lower bound on alpha_S at or above a
         # certified 2/ell* pins alpha = 2/ell* exactly
-        if certified_ell_star is not None:
-            two_over = Fraction(2) / certified_ell_star
+        if family.ell_star is not None:
+            two_over = Fraction(2) / family.ell_star
             cert_lowers = [b.value for b in bounds
                            if b.side == "lower" and b.certified]
             if any(v >= two_over for v in cert_lowers):
@@ -643,7 +668,7 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
             and bracket.best_lower == bracket.best_upper:
         bracket.alpha_exact = bracket.best_lower
 
-    ell_min = certified_ell_min if certified_ell_min is not None else report.ell_min
+    ell_min = family.ell_min if family.ell_min is not None else report.ell_min
     if bracket.best_upper is not None and bracket.best_lower is not None:
         lo, _ = cheeger_interval(bracket.best_lower, ell_min)
         _, hi = cheeger_interval(bracket.best_upper, ell_min)
@@ -651,7 +676,7 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
             "lambda0_lower": lo,
             "lambda0_upper": hi,
             "ell_min": ell_min,
-            "certified": bool(finite or (certified_ell_min is not None
-                                         and certified_ell_star is not None)),
+            "certified": bool(finite or (family.ell_min is not None
+                                         and family.ell_star is not None)),
         }
     return bracket

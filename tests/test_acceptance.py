@@ -22,14 +22,13 @@ from isotess.errors import NegativeCurvatureParams
 from isotess.families import (
     GkParams,
     PQParams,
-    certified_lengths,
     closed_forms_pq,
-    family_bounds,
     gen_gk,
     gen_nonequilateral_tree,
     gen_pq_ball,
     gk_closed_constants,
     gk_witness_sequence,
+    read_family,
 )
 from isotess.graphcore import build_graph, subgraph_stats
 from isotess.interchange import save
@@ -196,11 +195,7 @@ def test_criterion_07_nonequilateral_tree():
         brute = alpha_upper_bruteforce(g, Budget(max_edges=6, max_yield=1_000_000))
         ok &= brute.bound.value == Fraction(2, p)
         ok &= brute.bound.witness == (hat,)
-        ell_star, ell_min = certified_lengths(record["family"])
-        br = alpha_bracket(g, Budget(max_edges=5),
-                           family_bounds=family_bounds(record["family"]),
-                           certified_ell_star=ell_star,
-                           certified_ell_min=ell_min)
+        br = alpha_bracket(g, Budget(max_edges=5), read_family(record["family"]))
         ok &= br.alpha_exact == Fraction(2, p)
     report(7, "non-equilateral trees p in {6,8}: brute force finds 2/p with "
               "the long edge as witness; reduction reports alpha = 2/p "

@@ -585,29 +585,103 @@ def test_malformed_record_exit_code(tmp_path, capsys, mutate):
 def test_family_block_exit_code(tmp_path, capsys, family, code):
     # malformed blocks are malformed input; values the generator rejects
     # are its own errors; absent blocks and unknown kinds are ignored.  A
-    # pq block certifies alpha > 0 and a closed-form alpha_comb > 0, which
-    # K4, a finite graph with alpha = 0 and a vertex set of cut 0,
-    # contradicts: every command refuses it (exit 2)
+    # well-formed pq block describes a ball of an infinite tessellation,
+    # which K4, a finite graph, is not: every command refuses it at the
+    # family gate (exit 2)
     record = k4_record()
     record["family"] = family
     path = tmp_path / "k4.json"
     save(record, path)
     claims = code == 0 and isinstance(family, dict) and family["kind"] == "pq"
-    bracket = "the best certified lower bound exceeds the best certified upper bound"
-    refusals = {
-        "alpha": bracket,
-        "bounds": "a certified lower bound exceeds alpha = 0 of a finite graph",
-        "compare": bracket,
-        "comb-alpha": "the closed-form alpha_comb exceeds the enumerated upper bound",
-    }
+    gate = ("FamilyMismatch: family pq: the graph has no frontier, so it is "
+            "no ball of an infinite tessellation\n")
     want = 2 if claims else code
-    for command, refusal in refusals.items():
+    for command in ("alpha", "bounds", "compare", "comb-alpha"):
         assert run([command, str(path), "--budget-edges", "3"]) == want, command
         out, err = capsys.readouterr()
         assert "Traceback" not in err
         assert ("malformed input: family" in err) == (code == 4)
         if claims:  # no report, one line on stderr
+            assert out == "" and err == gate, command
+
+
+BRACKET_REFUSAL = "the best certified lower bound exceeds the best certified upper bound"
+
+
+@pytest.mark.parametrize("family,refusals", [
+    # G_k certifies alpha >= 65/189 > 0 and alpha_comb = 0
+    ({"kind": "gk", "k": 3}, {
+        "alpha": BRACKET_REFUSAL,
+        "bounds": "a certified lower bound exceeds alpha = 0 of a finite graph",
+        "compare": BRACKET_REFUSAL,
+        "comb-alpha": None}),
+    # a non-equilateral tree certifies alpha_S > 0 and alpha_comb = 3/5
+    ({"kind": "netree", "p": 5}, {
+        "alpha": None, "bounds": None, "compare": None,
+        "comb-alpha": "the closed-form alpha_comb exceeds the enumerated upper bound"}),
+], ids=["gk", "netree"])
+def test_family_claims_refused_on_finite_graph(tmp_path, capsys, family, refusals):
+    # blocks that the family gate does not check: K4, a finite graph with
+    # alpha = 0 and a vertex set of cut 0, contradicts the positive values
+    # they certify, and each command that reports one refuses it (exit 2)
+    record = k4_record()
+    record["family"] = family
+    path = tmp_path / "k4.json"
+    save(record, path)
+    for command, refusal in refusals.items():
+        assert run([command, str(path), "--budget-edges", "3"]) == (2 if refusal else 0)
+        out, err = capsys.readouterr()
+        if refusal:  # no report, one line on stderr
             assert out == "" and err == f"OutOfRange: {refusal}\n", command
+        else:
+            assert err == "" and json.loads(out)["input"]["family"] == family, command
+
+
+def _frontier_degree_6(record):
+    record["true_degree"][str(record["frontier_vertices"][0])] = 6
+
+
+@pytest.mark.parametrize("gen,edit,named", [
+    # the (4,4) lattice, alpha = 0, declared the (7,3) tessellation: at the
+    # parent every command trusted it and reported alpha = (7 sqrt 5 - 5)/22
+    ("4 4 3", lambda r: r.update(family={"kind": "pq", "p": 7, "q": 3, "radius": 3}),
+     "vertex 0 has degree 4, not p = 7"),
+    ("7 3 3", _frontier_degree_6, "vertex "),
+    # radius 4: at radius 3 every heptagon touches the frontier
+    ("3 7 4", lambda r: r.update(family={"kind": "pq", "p": 3, "q": "inf", "radius": 4}),
+     "tile "),
+], ids=["pq44-as-pq73", "pq73-frontier-degree-6", "pq37-as-tree"])
+def test_family_gate_refuses_contradicted_pq_block(tmp_path, capsys, gen, edit, named):
+    # a pq block is checked against the graph before anything is enumerated:
+    # a contradiction is a failed precondition (exit 2), no report and one
+    # line on stderr naming the first vertex or tile that differs
+    path = tmp_path / "ball.json"
+    p, q, radius = gen.split()
+    assert run(["gen", "pq", "--p", p, "--q", q, "--radius", radius,
+                "--output", str(path)]) == 0
+    record = read(path)
+    edit(record)
+    save(record, path)
+    capsys.readouterr()
+    for command in ("bounds", "alpha", "comb-alpha", "compare"):
+        assert run([command, str(path)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, command
+        assert err.startswith(f"FamilyMismatch: family pq: {named}"), (command, err)
+
+
+def test_comb_alpha_reads_the_block_before_enumerating(tmp_path, capsys):
+    # a malformed block is malformed input (exit 4) even where the scan
+    # would exhaust its budget (exit 3) first
+    path = tmp_path / "pq73r3.json"
+    assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", "3",
+                "--output", str(path)]) == 0
+    record = read(path)
+    record["family"] = "x"
+    save(record, path)
+    capsys.readouterr()
+    assert run(["comb-alpha", str(path), "--max-yield", "1"]) == 4
+    assert capsys.readouterr().err.startswith("malformed input: family block")
 
 
 @pytest.mark.parametrize("argv", [

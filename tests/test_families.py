@@ -7,6 +7,7 @@ import pytest
 
 from isotess.curvature import char_values, global_constants
 from isotess.errors import (
+    FamilyMismatch,
     NegativeCurvatureParams,
     ParamTooSmall,
     RadiusTooSmall,
@@ -16,17 +17,18 @@ from isotess.families import (
     GkParams,
     PQParams,
     closed_forms_pq,
-    family_bounds,
-    family_comb_closed_form,
     gen_gk,
     gen_nonequilateral_tree,
     gen_pq_ball,
     gk_closed_constants,
     gk_witness_sequence,
+    read_family,
 )
 from isotess.graphcore import build_graph, subgraph_stats, validate_tessellation
 from isotess.interchange import dumps_record, load_record, save
 from isotess.rational import Surd
+
+from conftest import wheel_record
 
 
 def test_pq_params_validation():
@@ -240,14 +242,50 @@ def test_delta_at_most_one_grid():
 
 def test_family_metadata_helpers():
     rec = gen_pq_ball(PQParams(3, math.inf), 2)
-    assert family_comb_closed_form(rec["family"]) == Fraction(1, 3)
-    bounds = family_bounds(rec["family"])
-    assert any(b.value == Fraction(1, 2) and b.side == "lower" for b in bounds)
-    gk = gen_gk(GkParams(k=3, rows=2, cols=2, tree_depth=2))
-    assert family_comb_closed_form(gk["family"]) == 0
-    got = {(b.side, b.value) for b in family_bounds(gk["family"])}
+    family = read_family(rec["family"], build_graph(rec))
+    assert family.alpha_comb == Fraction(1, 3)
+    assert any(b.value == Fraction(1, 2) and b.side == "lower" for b in family.bounds)
+    gk = read_family(gen_gk(GkParams(k=3, rows=2, cols=2, tree_depth=2))["family"])
+    assert gk.alpha_comb == 0
+    got = {(b.side, b.value) for b in gk.bounds}
     assert ("lower", Fraction(65, 189)) in got
     assert ("upper", Fraction(1, 2)) in got
+
+
+def test_every_generated_pq_ball_passes_the_family_gate():
+    # p, q <= 8 or q = infinity at radii 1-3, and radius 4 where
+    # (p-2)(q-2) <= 12: the gate reads every ball as its own family
+    balls = 0
+    for p in range(3, 9):
+        for q in [*range(3, 9), math.inf]:
+            if q != math.inf and (p - 2) * (q - 2) < 4:
+                continue
+            deep = q != math.inf and (p - 2) * (q - 2) <= 12
+            for r in range(1, 5 if deep else 4):
+                record = gen_pq_ball(PQParams(p, q), r)
+                family = read_family(record["family"], build_graph(record))
+                assert family.ell_star == family.ell_min == 1, (p, q, r)
+                balls += 1
+    assert balls == 129
+
+
+def test_family_gate_names_the_first_difference():
+    # at radius 2 every square touches the frontier; radius 3 has bounded ones
+    lattice = build_graph(gen_pq_ball(PQParams(4, 4), 3))
+    with pytest.raises(FamilyMismatch, match="vertex 0 has degree 4, not p = 7$"):
+        read_family({"kind": "pq", "p": 7, "q": 3}, lattice)
+    with pytest.raises(FamilyMismatch, match="sides, not q = 5$"):
+        read_family({"kind": "pq", "p": 4, "q": 5}, lattice)
+    with pytest.raises(FamilyMismatch, match="vertex 0 has degree 4, not p = 3$"):
+        read_family({"kind": "pq", "p": 3, "q": "inf"}, lattice)
+    # a frontier vertex of unknown true degree may not show more than p edges
+    wheel = wheel_record(5)
+    wheel["frontier_vertices"] = [item["id"] for item in wheel["vertices"]]
+    with pytest.raises(FamilyMismatch, match="vertex 0 has degree 5, not p = 4$"):
+        read_family({"kind": "pq", "p": 4, "q": 4}, build_graph(wheel))
+    assert read_family({"kind": "pq", "p": 5, "q": 4}, build_graph(wheel)).ell_min == 1
+    # without a graph the block is read as it stands
+    assert read_family({"kind": "pq", "p": 7, "q": 3}).ell_star == 1
 
 
 def test_generator_sweep_structural():

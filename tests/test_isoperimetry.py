@@ -12,15 +12,15 @@ import pytest
 from isotess.errors import BudgetExceeded, OutOfRange
 from isotess.families import (
     PQParams,
-    certified_lengths,
-    family_bounds,
     gen_nonequilateral_tree,
     gen_pq_ball,
+    read_family,
 )
 from isotess.graphcore import build_graph, classify_subgraph, subgraph_stats
 from isotess.isoperimetry import (
     Bound,
     Budget,
+    Family,
     alpha_bracket,
     alpha_comb_upper_bruteforce,
     alpha_upper_bruteforce,
@@ -369,11 +369,7 @@ def test_bracket_netree_reduction():
     for p, fires in ((6, True), (8, True), (5, False)):
         record = gen_nonequilateral_tree(p, 3)
         g = build_graph(record)
-        ell_star, ell_min = certified_lengths(record["family"])
-        br = alpha_bracket(g, Budget(max_edges=5),
-                           family_bounds=family_bounds(record["family"]),
-                           certified_ell_star=ell_star,
-                           certified_ell_min=ell_min)
+        br = alpha_bracket(g, Budget(max_edges=5), read_family(record["family"]))
         if fires:
             assert br.alpha_exact == Fraction(2, p)
             assert br.best_lower == br.best_upper == Fraction(2, p)
@@ -420,10 +416,7 @@ def _connected(g, edges):
 def test_bracket_tree_collapses():
     record = gen_pq_ball(PQParams(3, math.inf), 4)
     g = build_graph(record)
-    br = alpha_bracket(g, Budget(max_edges=4),
-                       family_bounds=family_bounds(record["family"]),
-                       certified_ell_star=Fraction(1),
-                       certified_ell_min=Fraction(1))
+    br = alpha_bracket(g, Budget(max_edges=4), read_family(record["family"]))
     assert br.alpha_exact == Fraction(1, 2)
     assert br.cheeger["lambda0_lower"] == Fraction(1, 16)
     assert br.cheeger["lambda0_upper"] == PI2_UPPER / 4
@@ -436,11 +429,7 @@ def test_bracket_consistency_certified():
              gen_pq_ball(PQParams(4, 4), 3)]
     for record in cases:
         g = build_graph(record)
-        ell_star, ell_min = certified_lengths(record["family"])
-        br = alpha_bracket(g, Budget(max_edges=4),
-                           family_bounds=family_bounds(record["family"]),
-                           certified_ell_star=ell_star,
-                           certified_ell_min=ell_min)
+        br = alpha_bracket(g, Budget(max_edges=4), read_family(record["family"]))
         if br.best_lower is not None and br.best_upper is not None:
             assert br.best_lower <= br.best_upper
 
@@ -453,11 +442,11 @@ def test_bracket_refuses_lower_above_upper():
                   certified=True)
     with pytest.raises(OutOfRange, match="lower bound exceeds"):
         alpha_bracket(build_graph(record), Budget(max_edges=2),
-                      family_bounds=[claim], certified_ell_star=Fraction(1))
+                      Family(bounds=(claim,), ell_star=Fraction(1)))
     # at 2/ell* the claim pins alpha instead
+    claim = dataclasses.replace(claim, value=Fraction(2))
     br = alpha_bracket(build_graph(record), Budget(max_edges=2),
-                       family_bounds=[dataclasses.replace(claim, value=Fraction(2))],
-                       certified_ell_star=Fraction(1))
+                       Family(bounds=(claim,), ell_star=Fraction(1)))
     assert br.alpha_exact == br.best_lower == br.best_upper == 2
 
 
@@ -529,11 +518,7 @@ def test_pq_bracket_consistency_with_closed_forms():
         forms = closed_forms_pq(PQParams(p, q))
         brute = alpha_upper_bruteforce(g, Budget(max_edges=4))
         assert forms.alpha_lower <= forms.alpha <= brute.bound.value
-        ell_star, ell_min = certified_lengths(record["family"])
-        br = alpha_bracket(g, Budget(max_edges=4),
-                           family_bounds=family_bounds(record["family"]),
-                           certified_ell_star=ell_star,
-                           certified_ell_min=ell_min)
+        br = alpha_bracket(g, Budget(max_edges=4), read_family(record["family"]))
         assert br.best_lower <= br.best_upper
 
 
