@@ -598,7 +598,7 @@ def _gk_tree_edges(graph: MetricGraph, k: int, root: int, l: int) -> list[int]:
 # the family block
 # ---------------------------------------------------------------------------
 
-def read_family(block, g: MetricGraph | None = None) -> Family:
+def read_family(block, g: MetricGraph) -> Family:
     """What the family block ``block`` certifies; Family() if absent or of unknown kind.
 
     (p, q): the closed forms of :func:`closed_forms_pq`, alpha both ways
@@ -611,10 +611,11 @@ def read_family(block, g: MetricGraph | None = None) -> Family:
 
     A non-object block or a missing or non-integer field (``q`` may be
     "inf") is InputFormatError; a value the generator rejects raises its
-    error.  Given ``g``, a (p, q) block is checked against it first: ``g``
-    must have a frontier, no vertex more than p edges and every known
-    degree p, and every bounded tile q sides (none when q is infinite);
-    else FamilyMismatch, naming the first vertex or tile that differs.
+    error.  A (p, q) block is checked against ``g`` first: ``g`` must have
+    a frontier, no vertex more than p edges and every known degree p, and
+    every bounded tile a walk of q sides over q distinct edges (none when q
+    is infinite); else FamilyMismatch, naming the first vertex or tile that
+    differs.
     """
     if block is None:
         return Family()
@@ -624,8 +625,7 @@ def read_family(block, g: MetricGraph | None = None) -> Family:
     if kind == "pq":
         params = PQParams(_int_field(block, "p"),
                           math.inf if block.get("q") == "inf" else _int_field(block, "q"))
-        if g is not None:
-            _check_pq(g, params)
+        _check_pq(g, params)
         forms = closed_forms_pq(params)
         exact = "exact alpha of the (p,q) family"
         bounds = [Bound(forms.alpha, "closed_form", "lower", True, note=exact),
@@ -663,9 +663,10 @@ def _check_pq(g: MetricGraph, params: PQParams) -> None:
             raise FamilyMismatch(f"family pq: vertex {v} has degree "
                                  f"{td or g.degree(v)}, not p = {p}")
     for t in g.tiles:
-        if t.status == BOUNDED and (params.is_tree or t.degree != q):
-            raise FamilyMismatch(f"family pq: tile {t.index} has {t.degree} "
-                                 f"sides, not q = {q}")
+        if t.status == BOUNDED and (params.is_tree or len(t.cycle) != q
+                                    or t.degree != q):
+            raise FamilyMismatch(f"family pq: tile {t.index} has {len(t.cycle)} "
+                                 f"sides over {t.degree} edges, not q = {q}")
 
 
 def _int_field(family: dict, name: str) -> int:

@@ -195,7 +195,7 @@ def test_criterion_07_nonequilateral_tree():
         brute = alpha_upper_bruteforce(g, Budget(max_edges=6, max_yield=1_000_000))
         ok &= brute.bound.value == Fraction(2, p)
         ok &= brute.bound.witness == (hat,)
-        br = alpha_bracket(g, Budget(max_edges=5), read_family(record["family"]))
+        br = alpha_bracket(g, Budget(max_edges=5), read_family(record["family"], g))
         ok &= br.alpha_exact == Fraction(2, p)
     report(7, "non-equilateral trees p in {6,8}: brute force finds 2/p with "
               "the long edge as witness; reduction reports alpha = 2/p "

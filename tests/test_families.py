@@ -28,7 +28,7 @@ from isotess.graphcore import build_graph, subgraph_stats, validate_tessellation
 from isotess.interchange import dumps_record, load_record, save
 from isotess.rational import Surd
 
-from conftest import wheel_record
+from conftest import record_from_coords, wheel_record
 
 
 def test_pq_params_validation():
@@ -245,7 +245,8 @@ def test_family_metadata_helpers():
     family = read_family(rec["family"], build_graph(rec))
     assert family.alpha_comb == Fraction(1, 3)
     assert any(b.value == Fraction(1, 2) and b.side == "lower" for b in family.bounds)
-    gk = read_family(gen_gk(GkParams(k=3, rows=2, cols=2, tree_depth=2))["family"])
+    rec = gen_gk(GkParams(k=3, rows=2, cols=2, tree_depth=2))
+    gk = read_family(rec["family"], build_graph(rec))
     assert gk.alpha_comb == 0
     got = {(b.side, b.value) for b in gk.bounds}
     assert ("lower", Fraction(65, 189)) in got
@@ -274,7 +275,7 @@ def test_family_gate_names_the_first_difference():
     lattice = build_graph(gen_pq_ball(PQParams(4, 4), 3))
     with pytest.raises(FamilyMismatch, match="vertex 0 has degree 4, not p = 7$"):
         read_family({"kind": "pq", "p": 7, "q": 3}, lattice)
-    with pytest.raises(FamilyMismatch, match="sides, not q = 5$"):
+    with pytest.raises(FamilyMismatch, match="4 sides over 4 edges, not q = 5$"):
         read_family({"kind": "pq", "p": 4, "q": 5}, lattice)
     with pytest.raises(FamilyMismatch, match="vertex 0 has degree 4, not p = 3$"):
         read_family({"kind": "pq", "p": 3, "q": "inf"}, lattice)
@@ -284,8 +285,16 @@ def test_family_gate_names_the_first_difference():
     with pytest.raises(FamilyMismatch, match="vertex 0 has degree 5, not p = 4$"):
         read_family({"kind": "pq", "p": 4, "q": 4}, build_graph(wheel))
     assert read_family({"kind": "pq", "p": 5, "q": 4}, build_graph(wheel)).ell_min == 1
-    # without a graph the block is read as it stands
-    assert read_family({"kind": "pq", "p": 7, "q": 3}).ell_star == 1
+    # a bounded face that goes along a bridge twice: triangle 0-1-2 joined
+    # by the bridge 0-3 to triangle 3-4-5, all of degree 3 through pendant
+    # frontier vertices 6-9, walks 8 sides over its 7 distinct edges
+    pos = {0: (0, 4), 1: (4, -3), 2: (-4, -3), 3: (0, 1.5), 4: (1, -0.5),
+           5: (-1, -0.5), 6: (6, -4), 7: (-6, -4), 8: (0.3, 0), 9: (-0.3, 0)}
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3),
+             (1, 6), (2, 7), (4, 8), (5, 9)]
+    bridged = build_graph(record_from_coords(pos, edges, frontier=(6, 7, 8, 9)))
+    with pytest.raises(FamilyMismatch, match="has 8 sides over 7 edges, not q = 7$"):
+        read_family({"kind": "pq", "p": 3, "q": 7}, bridged)
 
 
 def test_generator_sweep_structural():

@@ -369,7 +369,7 @@ def test_bracket_netree_reduction():
     for p, fires in ((6, True), (8, True), (5, False)):
         record = gen_nonequilateral_tree(p, 3)
         g = build_graph(record)
-        br = alpha_bracket(g, Budget(max_edges=5), read_family(record["family"]))
+        br = alpha_bracket(g, Budget(max_edges=5), read_family(record["family"], g))
         if fires:
             assert br.alpha_exact == Fraction(2, p)
             assert br.best_lower == br.best_upper == Fraction(2, p)
@@ -416,7 +416,7 @@ def _connected(g, edges):
 def test_bracket_tree_collapses():
     record = gen_pq_ball(PQParams(3, math.inf), 4)
     g = build_graph(record)
-    br = alpha_bracket(g, Budget(max_edges=4), read_family(record["family"]))
+    br = alpha_bracket(g, Budget(max_edges=4), read_family(record["family"], g))
     assert br.alpha_exact == Fraction(1, 2)
     assert br.cheeger["lambda0_lower"] == Fraction(1, 16)
     assert br.cheeger["lambda0_upper"] == PI2_UPPER / 4
@@ -429,7 +429,7 @@ def test_bracket_consistency_certified():
              gen_pq_ball(PQParams(4, 4), 3)]
     for record in cases:
         g = build_graph(record)
-        br = alpha_bracket(g, Budget(max_edges=4), read_family(record["family"]))
+        br = alpha_bracket(g, Budget(max_edges=4), read_family(record["family"], g))
         if br.best_lower is not None and br.best_upper is not None:
             assert br.best_lower <= br.best_upper
 
@@ -518,7 +518,7 @@ def test_pq_bracket_consistency_with_closed_forms():
         forms = closed_forms_pq(PQParams(p, q))
         brute = alpha_upper_bruteforce(g, Budget(max_edges=4))
         assert forms.alpha_lower <= forms.alpha <= brute.bound.value
-        br = alpha_bracket(g, Budget(max_edges=4), read_family(record["family"]))
+        br = alpha_bracket(g, Budget(max_edges=4), read_family(record["family"], g))
         assert br.best_lower <= br.best_upper
 
 
