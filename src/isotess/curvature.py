@@ -29,9 +29,12 @@ over the distinct c(e)|e|, each times its number of edges.
 
 Weights are sums of the lengths' int parts over the lcm of their
 denominators (:func:`~isotess.rational.scaled_sum`), normalised once.
-The Gauss-Bonnet total and the degsum left-hand side add each c(e)|e| as
-the unnormalised int pair (numerator product, denominator product) with
-:func:`~isotess.rational.scaled_sum`.  c(e) and kappa(v) are built from
+The Gauss-Bonnet total adds each c(e)|e| as the unnormalised int pair
+(numerator product, denominator product) with
+:func:`~isotess.rational.scaled_sum`.  The degsum left-hand side adds
+each c(e)|e| L as the pair (c(e) numerator times the int |e| L of
+``g.length_ints``, c(e) denominator) the same way, and divides by the
+graph's L once.  c(e) and kappa(v) are built from
 the integer numerators and denominators of their terms (1/(n/d) = d/n)
 as one Fraction each; the maxima M and P and the minimum c_* are
 compared by cross-multiplication, and only the winner of M and P becomes
@@ -381,8 +384,15 @@ def degsum_check(g: MetricGraph, sel: SubgraphSelection,
     and builds one Fraction.  The sides of the interior edges are the darts
     into each interior vertex from another, read off ``g.rotation_darts``
     and counted per tile with no bisection, and a tile's sides are cut
-    unless it is bounded and all of its darts are among them.  1 - 1/M -
-    2/P and 1/P come from ``report.refined_terms``, taken once per report.
+    unless all of its darts are among them.  1 - 1/M - 2/P and 1/P come
+    from ``report.refined_terms``, taken once per report.
+
+    A tile all of whose darts are such sides need not be bounded for its
+    sides to count as not cut.  Its edges are interior edges, so they are
+    in S.  Were it indeterminate, their c(e) would be None, and the
+    left-hand side would have raised FrontierContact.  Were it unbounded,
+    P would be infinite and 1/P = 0, so its sides would weigh nothing
+    either way.
     """
     star_like, complete = classify_subgraph(g, sel)
     if not (star_like and complete):
@@ -392,19 +402,19 @@ def degsum_check(g: MetricGraph, sel: SubgraphSelection,
         report = global_constants(g)
 
     terms = []
-    parts = g.length_parts
+    length_scale, ints = g.length_ints
     for e in sel.edges:
         c = report.char_value[e]
         if c is None:
             raise FrontierContact(f"edge {e} has indeterminate characteristic value")
-        n, d = parts[e]
-        terms.append((c.numerator * n, c.denominator * d))
-    lhs = Fraction(*scaled_sum(terms))
+        terms.append((c.numerator * ints[e], c.denominator))
+    num, scale = scaled_sum(terms)
+    lhs = Fraction(num, scale * length_scale)
     rhs = Fraction(sel.boundary_degree)
 
     # the sides of the interior edges are the darts into an interior vertex
-    # from another; counted per tile, a side is not cut when its tile is
-    # bounded and every dart of the tile's cycle is one of them
+    # from another; counted per tile, a side is not cut when every dart of
+    # its tile's cycle is one of them (docstring: the tile's status is moot)
     inner, head, dart_tile, tiles = sel.interior_vertices, g.dart_head, g.dart_tile, g.tiles
     sides: dict[int, int] = {}
     for v in inner:
@@ -412,8 +422,7 @@ def degsum_check(g: MetricGraph, sel: SubgraphSelection,
             if head[d ^ 1] in inner:
                 t = dart_tile[d]
                 sides[t] = sides.get(t, 0) + 1
-    cut_sides = sum(n for t, n in sides.items()
-                    if n != len(tiles[t].cycle) or tiles[t].status != BOUNDED)
+    cut_sides = sum(n for t, n in sides.items() if n != len(tiles[t].cycle))
     factor, inv_p = report.refined_terms
     tech_rhs = rhs * factor - inv_p * cut_sides
     return DegsumResult(lhs=lhs, rhs=rhs, tech_rhs=tech_rhs,

