@@ -29,16 +29,14 @@ over the distinct c(e)|e|, each times its number of edges.
 
 Weights are sums of the lengths' int parts over the lcm of their
 denominators (:func:`~isotess.rational.scaled_sum`), normalised once.
-The Gauss-Bonnet total adds each c(e)|e| as the unnormalised int pair
-(numerator product, denominator product) with
-:func:`~isotess.rational.scaled_sum`.  The degsum left-hand side adds
-each c(e)|e| L as the pair (c(e) numerator times the int |e| L of
-``g.length_ints``, c(e) denominator) the same way, and divides by the
-graph's L once.  c(e) and kappa(v) are built from
-the integer numerators and denominators of their terms (1/(n/d) = d/n)
-as one Fraction each; the maxima M and P and the minimum c_* are
-compared by cross-multiplication, and only the winner of M and P becomes
-a Fraction.
+The Gauss-Bonnet total and the degsum left-hand side add each c(e)|e| as
+the unnormalised int pair (numerator product, denominator product) with
+:func:`~isotess.rational.scaled_sum`, over the lcm of their own terms,
+not over the graph-wide L of ``g.length_ints``.  c(e) and kappa(v) are
+built from the integer numerators and denominators of their terms
+(1/(n/d) = d/n) as one Fraction each; the maxima M and P and the
+minimum c_* are compared by cross-multiplication, and only the winner of
+M and P becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -402,14 +400,13 @@ def degsum_check(g: MetricGraph, sel: SubgraphSelection,
         report = global_constants(g)
 
     terms = []
-    length_scale, ints = g.length_ints
     for e in sel.edges:
         c = report.char_value[e]
         if c is None:
             raise FrontierContact(f"edge {e} has indeterminate characteristic value")
-        terms.append((c.numerator * ints[e], c.denominator))
-    num, scale = scaled_sum(terms)
-    lhs = Fraction(num, scale * length_scale)
+        ell = g.length[e]
+        terms.append((c.numerator * ell.numerator, c.denominator * ell.denominator))
+    lhs = Fraction(*scaled_sum(terms))
     rhs = Fraction(sel.boundary_degree)
 
     # the sides of the interior edges are the darts into an interior vertex

@@ -169,14 +169,24 @@ class MetricGraph:
         return any(t.status != BOUNDED for t in self.tiles)
 
     @cached_property
-    def length_ints(self) -> tuple[int, dict[int, int]]:
-        """(L, {edge: |e| L}): L is the lcm of every length denominator, so
-        each |e| L is an int.  Built on first use; it costs E digits(L)
-        memory, the scale that the edge scan builds for the frontier-free
-        region."""
-        scale = math.lcm(*{ell.denominator for ell in self.length.values()})
-        return scale, {e: ell.numerator * (scale // ell.denominator)
-                       for e, ell in self.length.items()}
+    def length_ints(self) -> tuple[int | None, dict]:
+        """The lengths as ints: (L, {edge: |e| L}) when L, the lcm of every
+        length denominator, has at most 64 bits, else
+        (None, {edge: (numerator, denominator)}).
+
+        Built on first use.  With L at most a word, the table holds E ints
+        of a word times a numerator, and normalising a measure over L costs
+        a gcd with one word.  A longer L grows with the number of distinct
+        denominators, up to the sum of their digits, while a selection's
+        own lcm can stay far shorter; the lcm is taken one denominator at a
+        time and given up at the first one past 64 bits.
+        """
+        scale, length = 1, self.length
+        for d in {ell.denominator for ell in length.values()}:
+            scale = math.lcm(scale, d)
+            if scale.bit_length() > 64:
+                return None, {e: (ell.numerator, ell.denominator) for e, ell in length.items()}
+        return scale, {e: ell.numerator * (scale // ell.denominator) for e, ell in length.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -604,12 +614,14 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
     """Interior vertices, boundary degree and measure of a connected edge subset.
 
     Ids are taken as given: one that is not an edge of ``g`` is a KeyError.
-    Cost O(|S|) for a selection of |S| edges, plus one normalisation: the
-    measure is one C-level sum of the ints |e| L of ``g.length_ints`` over
-    the graph's L, built as one Fraction.  Each term has the digits of L,
-    not of the selection's own lcm: with 48 edges of distinct random
-    200-digit denominators, the 890 star-like candidates of a 14-split
-    random tessellation take about as long as with one lcm per selection.
+    Cost O(|S|) for a selection of |S| edges, plus one normalisation.  When
+    the graph's L has at most 64 bits, the measure is one C-level sum of
+    the ints |e| L of ``g.length_ints`` over L, built as one Fraction.
+    Otherwise it sums the table's (numerator, denominator) pairs over the
+    lcm of the selection's own denominators
+    (:func:`~isotess.rational.scaled_sum`): a long L is mostly factors
+    that the selection does not have, and each measure over it would pay
+    for them in its sum and its gcd.
     """
     edges = frozenset(edge_ids)
     if not edges:
@@ -651,7 +663,8 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
         else:
             interior.append(v)
     scale, ints = g.length_ints
-    measure = Fraction(sum(map(ints.__getitem__, edges)), scale)
+    measure = (Fraction(*scaled_sum([ints[e] for e in edges])) if scale is None
+               else Fraction(sum(map(ints.__getitem__, edges)), scale))
     return SubgraphSelection(edges, frozenset(interior), boundary_degree, measure)
 
 

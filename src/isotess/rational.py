@@ -6,15 +6,17 @@ Hot loops work on the integer numerators and denominators instead and
 build one Fraction per result: :func:`scaled_sum` adds (numerator,
 denominator) pairs as ints over the lcm of their own denominators, and
 :func:`exact_sum` does the same for Fractions and normalises once.
-Measures are the exception.  ``MetricGraph.length_ints``, built on
-first use, holds L, the lcm of every edge-length denominator of the
-graph, and each edge's length times L as an int, so the measure of a
-selection is one int sum over L, normalised once, and the degree-sum
-check divides its left-hand side by L once.  The table costs
-E digits(L) memory for E edges, the scale that the brute-force edge scan
-already builds for its eligible edges.  Every other sum (perimeters,
-weights, characteristic values, the Gauss-Bonnet total) keeps the lcm of
-its own terms.
+Measures are the one exception, and only on graphs whose L, the lcm of
+every edge-length denominator, has at most 64 bits.
+``MetricGraph.length_ints``, built on first use, then holds L and each
+edge's length times L as an int, so the measure of a selection is one int
+sum over L, normalised once.  On any other graph it holds each length's
+(numerator, denominator) ints, and a measure is a :func:`scaled_sum` like
+the rest: a longer L can have up to the sum of the digits of the distinct
+denominators, and a selection's own lcm is then mostly far shorter.
+Every other sum (perimeters, weights, characteristic values, the
+Gauss-Bonnet total, the degree-sum left-hand side) keeps the lcm of its
+own terms.
 Unbounded tile perimeters are represented by ``INF`` (the float
 infinity), and every reciprocal taken through :func:`reciprocal` obeys
 the convention 1/inf == 0 exactly.

@@ -1,11 +1,13 @@
 """``MetricGraph.length_ints``: one integer length table per graph.
 
 The table holds L, the lcm of every edge-length denominator, and each
-edge's length times L as an int.  ``subgraph_stats`` takes every measure
-from it as one int sum over L, so the measure must equal the plain
-Fraction sum of the lengths, also when the denominators are distinct and
-long.  Commands that measure no selection (validate, faces, curvature,
-gauss-bonnet) must not build it.
+edge's length times L as an int, when L has at most 64 bits; past that
+it holds None and each length's numerator and denominator.
+``subgraph_stats`` takes a measure as one int sum over L in the first
+case, and over the lcm of the selection's own denominators in the
+second, so on either side of the cut the measure must equal the
+plain Fraction sum of the lengths.  Commands that measure no selection
+(validate, faces, curvature, gauss-bonnet) must not build it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 
 import pytest
 
-from isotess import cli
+from isotess import cli, graphcore
 from isotess.errors import DisconnectedSelection
 from isotess.families import (
     GkParams,
@@ -52,20 +54,27 @@ def _relength(record: dict, rng: random.Random, digits: int) -> dict:
     return record
 
 
-def _check_table(record: dict) -> None:
+def _check_table(record: dict) -> bool:
+    """Check the table against the lcm of the lengths; whether it was built."""
     g = build_graph(record)
+    lcm = math.lcm(*(ell.denominator for ell in g.length.values()))
+    if lcm.bit_length() > 64:
+        assert g.length_ints == (None, {e: (ell.numerator, ell.denominator)
+                                        for e, ell in g.length.items()})
+        return False
     scale, ints = g.length_ints
-    assert scale == math.lcm(*(ell.denominator for ell in g.length.values()))
+    assert scale == lcm
     assert ints.keys() == set(g.edges)
     for e, ell in g.length.items():
         assert type(ints[e]) is int
         assert ints[e] == ell * scale
+    return True
 
 
 @pytest.mark.parametrize("seed", [f"length_ints:{i}" for i in range(10)])
 def test_table_is_each_length_times_the_lcm(random_tessellation, seed):
     rng = random.Random(seed)
-    _check_table(random_tessellation(rng, rng.randint(0, 30)))
+    assert _check_table(random_tessellation(rng, rng.randint(0, 30)))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -74,7 +83,52 @@ def test_family_table_is_each_length_times_the_lcm(name, digits):
     record = FAMILIES[name]()
     if digits:
         _relength(record, random.Random(f"length_ints:{name}"), digits)
-    _check_table(record)
+    assert _check_table(record) == (not digits)
+
+
+def _k4(denominators) -> dict:
+    record = k4_record()
+    for k, (item, d) in enumerate(zip(record["edges"], denominators)):
+        item["length"] = f"{k + 1}/{d}"
+    return record
+
+
+# each row: K4's six denominators and whether their lcm fits in 64 bits
+CUT = [
+    pytest.param([2**64 - 1] * 6, True, id="one-64-bit"),
+    pytest.param([2**32 - 1, 2**32 + 1] * 3, True, id="lcm-of-64-bits"),
+    pytest.param([1, 1, 1, 1, 1, 2**64 + 1], False, id="one-65-bit"),
+    pytest.param([2**32 + 1, 2**32 + 3, 1, 1, 1, 1], False, id="lcm-of-65-bits"),
+]
+
+
+@pytest.mark.parametrize("denominators, built", CUT)
+def test_table_is_built_up_to_64_bits(denominators, built):
+    record = _k4(denominators)
+    assert _check_table(record) == built
+    g = build_graph(record)
+    for size in range(1, len(g.edges) + 1):
+        for edges in combinations(g.edges, size):
+            try:
+                sel = subgraph_stats(g, edges)
+            except DisconnectedSelection:
+                continue
+            assert sel.measure == _plain_measure(record, edges), edges
+
+
+def test_lcm_is_given_up_at_the_first_denominator_past_64_bits(monkeypatch):
+    # six distinct 30-digit denominators: the first alone is past 64 bits
+    g = build_graph(_relength(k4_record(), random.Random("length_ints:early"), 30))
+    calls = []
+    lcm = math.lcm
+
+    def counted(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(graphcore.math, "lcm", counted)
+    assert g.length_ints[0] is None
+    assert len(calls) == 1 and len(calls[0]) == 2  # lcm(1, d) of one d
 
 
 def _connected_sets(g, rng: random.Random, count: int, max_size: int):
@@ -97,11 +151,16 @@ def _plain_measure(record: dict, edges) -> Fraction:
 
 
 @pytest.mark.parametrize("seed", [f"measure:{i}" for i in range(10)])
-@pytest.mark.parametrize("digits", [30, 200])
-def test_measure_is_the_plain_sum_with_long_denominators(random_tessellation, seed, digits):
+@pytest.mark.parametrize("digits", [0, 30, 200])
+def test_measure_is_the_plain_sum(random_tessellation, seed, digits):
+    # digits 0 keeps the generator's lengths, whose L fits in 64 bits;
+    # distinct long denominators make L long, and the table None
     rng = random.Random(seed)
-    record = _relength(random_tessellation(rng, rng.randint(1, 20)), rng, digits)
+    record = random_tessellation(rng, rng.randint(1, 20))
+    if digits:
+        _relength(record, rng, digits)
     g = build_graph(record)
+    assert (g.length_ints[0] is None) == bool(digits)
     for edges in _connected_sets(g, rng, 30, len(g.edges)):
         assert subgraph_stats(g, edges).measure == _plain_measure(record, edges), (seed, edges)
 
@@ -112,6 +171,7 @@ def test_measure_with_the_huge_k4_denominators():
     for item, length in zip(record["edges"], HUGE_K4):
         item["length"] = length
     g = build_graph(record)
+    assert g.length_ints[0] is None
     measured = 0
     for size in range(1, len(g.edges) + 1):
         for edges in combinations(g.edges, size):
