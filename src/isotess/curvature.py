@@ -16,27 +16,24 @@ Quantities touching a frontier vertex or an indeterminate tile are None
 (indeterminate), never silently wrong.
 
 Every value is exact and normalised once, and computed once per distinct
-local configuration: m(v) per multiset of star lengths, c(e) per |e| and
-the four reciprocals it subtracts, and the vertex curvature kappa(v) per
+local configuration: m(v) per sequence of star lengths in rotation order,
+c(e) per |e| and the four reciprocals it subtracts, and kappa(v) per
 deg(v) and multiset of bounded corner degrees.  The keys are the ids of
-objects the graph already shares (``build_graph`` hands one length
-Fraction to every edge with the same spelling, and one perimeter to
-every tile with the same boundary lengths), so no Fraction is hashed;
-objects that are equal but distinct only miss the memo.  Vertices or
-edges with the same key share one value object.  ell*, ell_min, M, P, c_*
-and deg* are taken over the distinct values, and the Gauss-Bonnet total
-over the distinct c(e)|e|, each times its number of edges.
+shared objects, so no Fraction is hashed: ``build_graph`` hands one length
+to every edge with the same spelling and one perimeter to every tile with
+the same boundary lengths in the order of its edge set, and
+:func:`_weights` one m(v) to every star with the same lengths in rotation
+order.  Equal values held by distinct objects ("1/2" and "2/4", or one
+multiset in two orders) are computed once per object.  ell*, ell_min, M,
+P, c_* and deg* are taken over the distinct values, and the Gauss-Bonnet
+total over the distinct c(e)|e|, each times its number of edges.
 
-Weights are sums of the lengths' int parts over the lcm of their
-denominators (:func:`~isotess.rational.scaled_sum`), normalised once.
-The Gauss-Bonnet total and the degsum left-hand side add each c(e)|e| as
-the unnormalised int pair (numerator product, denominator product) with
-:func:`~isotess.rational.scaled_sum`, over the lcm of their own terms,
-not over the graph-wide L of ``g.length_ints``.  c(e) and kappa(v) are
-built from the integer numerators and denominators of their terms
-(1/(n/d) = d/n) as one Fraction each; the maxima M and P and the
-minimum c_* are compared by cross-multiplication, and only the winner of
-M and P becomes a Fraction.
+Weights, the Gauss-Bonnet total and the degsum left-hand side are
+:func:`~isotess.rational.scaled_sum` sums of int pairs, over the lcm of
+their own terms, normalised once.  c(e) and kappa(v) are built from the
+integer numerators and denominators of their terms (1/(n/d) = d/n) as
+one Fraction each; the maxima M and P and the minimum c_* are compared by
+cross-multiplication, and only the winner of M and P becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -54,14 +51,14 @@ from .errors import (
 )
 from .graphcore import (
     BOUNDED,
-    INDETERMINATE,
     UNBOUNDED,
     MetricGraph,
     SubgraphSelection,
+    Tile,
     classify_subgraph,
     validate_tessellation,
 )
-from .rational import INF, Extended, exact_sum, reciprocal, scaled_sum
+from .rational import INF, Extended, reciprocal, scaled_sum
 
 
 @dataclass
@@ -100,14 +97,15 @@ def vertex_weight(g: MetricGraph, v: int) -> Fraction:
     """m(v): total length of the star at v."""
     if v in g.frontier_vertices:
         raise FrontierContact(f"vertex {v} is a frontier vertex")
-    return exact_sum([g.length[e] for e in g.rotation[v]])
+    return Fraction(*scaled_sum([(ell.numerator, ell.denominator)
+                                 for ell in map(g.length.__getitem__, g.rotation[v])]))
 
 
 def _weights(g: MetricGraph) -> tuple[dict[int, Fraction | None], list[list],
                                       dict[int, tuple[int, int]]]:
     """m(v) for every vertex, None on the frontier; one entry [m(v), (numerator,
-    denominator) of m(v), key, number of vertices] per distinct multiset of
-    star lengths, keyed on the sorted ids of the length objects; and the
+    denominator) of m(v), key, number of vertices] per distinct star, keyed
+    on the ids of its length objects in rotation order; and the
     (numerator, denominator) of each distinct length object, by id."""
     fr, length, rotation = g.frontier_vertices, g.length, g.rotation
     lengths = dict(zip(map(id, length.values()), length.values()))
@@ -118,7 +116,7 @@ def _weights(g: MetricGraph) -> tuple[dict[int, Fraction | None], list[list],
         if v in fr:
             out[v] = None
             continue
-        key = tuple(sorted(map(id, map(length.__getitem__, rotation[v]))))
+        key = tuple(map(id, map(length.__getitem__, rotation[v])))
         entry = memo.get(key)
         if entry is None:
             m = Fraction(*scaled_sum([parts[k] for k in key]))
@@ -186,16 +184,12 @@ def _char_values(g: MetricGraph, weights: dict[int, Fraction | None], stars: lis
     return out, list(memo.values())
 
 
-def _corner_degrees(g: MetricGraph, v: int) -> list[int] | None:
-    """Degrees of the bounded tiles at the corners of v; None if one is indeterminate."""
-    degrees = []
-    for d in g.rotation_darts[v]:
-        tile = g.tiles[g.dart_tile[d]]
-        if tile.status == BOUNDED:
-            degrees.append(tile.degree)
-        elif tile.status == INDETERMINATE:
-            return None
-    return degrees
+def _corner(tile: Tile) -> int | None:
+    """A corner's tile degree in kappa(v): 0 on an unbounded tile, whose
+    1/d_T is taken as 0, and None on an indeterminate one."""
+    if tile.status == BOUNDED:
+        return tile.degree
+    return 0 if tile.status == UNBOUNDED else None
 
 
 def _kappa(degree: int, corner_degrees: list[int]) -> Fraction:
@@ -212,18 +206,16 @@ def vertex_curvature(g: MetricGraph, v: int) -> Fraction:
     """
     if v in g.frontier_vertices:
         raise FrontierContact(f"vertex {v} is a frontier vertex")
-    degrees = _corner_degrees(g, v)
-    if degrees is None:
+    degrees = [_corner(g.tiles[g.dart_tile[d]]) for d in g.rotation_darts[v]]
+    if None in degrees:
         raise FrontierContact(f"corner tile of vertex {v} touches the frontier")
-    return _kappa(g.degree(v), degrees)
+    return _kappa(g.degree(v), list(filter(None, degrees)))
 
 
 def vertex_curvatures(g: MetricGraph) -> dict[int, Fraction | None]:
     """kappa(v) for every vertex, None where it is unavailable; one
     Fraction per distinct deg(v) and multiset of bounded corner degrees."""
-    # a corner's tile degree; 0 on an unbounded tile, None on an indeterminate one
-    corner = [t.degree if t.status == BOUNDED else 0 if t.status == UNBOUNDED else None
-              for t in g.tiles]
+    corner = list(map(_corner, g.tiles))
     fr, into, dart_tile = g.frontier_vertices, g.rotation_darts, g.dart_tile
     memo: dict[tuple[int, ...], Fraction] = {}
     out: dict[int, Fraction | None] = {}

@@ -500,7 +500,6 @@ def gk_closed_constants(k: int) -> dict:
         "M": 9 * Fraction(k) + Fraction(11, 2),
         "K": Fraction(18 * k + 9, 18 * k + 11),
         "c_star": Fraction(k - 2, k),
-        "c_tree_deep": Fraction(k - 2, k),
         "c_minus_0": Fraction(164, 77) - 2 / m_v0,
         "c_plus_0": Fraction(8955, 5467) - 1 / m_v0,
         "row_ratio_sup": Fraction(497, 72),

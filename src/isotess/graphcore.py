@@ -33,25 +33,13 @@ are built only when that fails, to name the first bad vertex.  The faces
 are walked over that list, recording each dart's tile, and each tile is
 built by mapping its cycle over per-dart edge and head lists; a bounded
 tile's perimeter is summed over integer length parts, one Fraction per
-distinct multiset of boundary lengths.  Tiles are named tuples (96 bytes
-each).  On the four build-curvature benchmark inputs (2k to 10k edges),
-each freshly parsed, one build of each takes 0.09 s in all with the
-cyclic garbage collector paused, as the ``isotess`` commands run it, and
-0.10 s with the collector on (minimum of 30 runs per input, Python
-3.11.7, 2 shared CPUs).
+distinct sequence of boundary lengths in the order of the tile's edge set
+(the :mod:`isotess.curvature` memos are keyed on that sharing).
+Tiles are named tuples (88 bytes each).
 
 Closure and classification of a selection need the bounded faces of its
-interior graph H (``_bounded_faces``).  They cost O(|H|) when every bounded
-face of H is a single tile, which holds for every call on the benchmark's
-family balls.  When H is a tree other than G, it has no bounded face and
-no tile is read: if a tile's dart cycle lay on H, the rotation successor
-at each vertex on the walk would map H-edges to H-edges, each rotation is
-one cycle, so every edge at such a vertex would be in H, and H would be
-all of G.  Otherwise the tiles whose darts all lie on H are counted, and
-when Euler's formula says H has exactly one other face, that face is the
-outer one.  Otherwise every tile of the graph is flooded, O(|G|): when H
-is empty or disconnected, when no tile of the graph is unbounded or
-indeterminate, or when H encloses a face that is not a single tile.
+interior graph H; :func:`_bounded_faces` decides them by Euler's count
+and says when that floods the whole graph.
 """
 
 from __future__ import annotations
@@ -99,7 +87,6 @@ class Tile(NamedTuple):
     degree: int
     status: str
     perimeter: Extended | None
-    touches_frontier: bool
 
 
 @dataclass(frozen=True)
@@ -150,9 +137,6 @@ class MetricGraph:
         d = self.dart(edge, self.edge_ends[edge][0]) & ~1
         return d, d | 1
 
-    def tile_of(self, dart: int) -> Tile:
-        return self.tiles[self.dart_tile[dart]]
-
     def frontier_free_edges(self) -> list[int]:
         """Edges with both endpoints outside the frontier."""
         fr = self.frontier_vertices
@@ -170,9 +154,11 @@ class MetricGraph:
 
     @cached_property
     def length_ints(self) -> tuple[int | None, dict]:
-        """The lengths as ints: (L, {edge: |e| L}) when L, the lcm of every
-        length denominator, has at most 64 bits, else
-        (None, {edge: (numerator, denominator)}).
+        """The lengths as ints, for measures: (L, {edge: |e| L}) when L, the
+        lcm of every length denominator, has at most 64 bits, and a measure
+        is one int sum over L; else (None, {edge: (numerator, denominator)}),
+        and a measure is a :func:`~isotess.rational.scaled_sum` over the lcm
+        of its own edges' denominators.
 
         Built on first use.  With L at most a word, the table holds E ints
         of a word times a numerator, and normalising a measure over L costs
@@ -513,7 +499,7 @@ def build_graph(record: Mapping) -> MetricGraph:
         except KeyError:
             raise InputFormatError(f"bad unbounded face rep {[eid, h]!r}") from None
 
-    # one Fraction per distinct multiset of boundary lengths, shared by its tiles
+    # one Fraction per distinct sequence of boundary lengths, shared by its tiles
     perimeters: dict[tuple[tuple[int, int], ...], Fraction] = {}
     tiles = []
     edge_at = list(chain.from_iterable(zip(edges, edges))).__getitem__
@@ -534,7 +520,7 @@ def build_graph(record: Mapping) -> MetricGraph:
             if perimeter is None:
                 perimeter = perimeters[key] = Fraction(*scaled_sum(key))
         tiles.append(Tile(idx, tuple(cycle), tile_edges, len(tile_edges), status,
-                          perimeter, touches))
+                          perimeter))
 
     return MetricGraph(rotation=rotation, edge_ends=edge_ends,
                        frontier_vertices=frontier, true_degree=true_degree,
@@ -614,14 +600,8 @@ def subgraph_stats(g: MetricGraph, edge_ids: Iterable[int]) -> SubgraphSelection
     """Interior vertices, boundary degree and measure of a connected edge subset.
 
     Ids are taken as given: one that is not an edge of ``g`` is a KeyError.
-    Cost O(|S|) for a selection of |S| edges, plus one normalisation.  When
-    the graph's L has at most 64 bits, the measure is one C-level sum of
-    the ints |e| L of ``g.length_ints`` over L, built as one Fraction.
-    Otherwise it sums the table's (numerator, denominator) pairs over the
-    lcm of the selection's own denominators
-    (:func:`~isotess.rational.scaled_sum`): a long L is mostly factors
-    that the selection does not have, and each measure over it would pay
-    for them in its sum and its gcd.
+    Cost O(|S|) for a selection of |S| edges, plus one normalisation: the
+    measure is summed over ``g.length_ints`` and built as one Fraction.
     """
     edges = frozenset(edge_ids)
     if not edges:
@@ -708,34 +688,33 @@ def _bounded_faces(g: MetricGraph, interior_vertices: frozenset[int]):
     face cannot be identified).
 
     Cost: O(|H|) when every bounded face of H is a single tile, which holds
-    on the family balls, and O(|G|) otherwise.  A connected H with
-    2|V_H| - 2 darts is a tree.  When it is not all of G, no tile's dart
-    cycle lies on it (module docstring), so its one face holds every tile
-    and, given a tile that is not bounded, is not bounded: the answer is
-    no group, and no tile is read.  A tile whose darts all lie on H is a
-    face of H by itself.  By Euler's formula a connected H has
-    |E_H| - |V_H| + 2 - 2g faces for some genus g >= 0, so when such tiles
-    number |E_H| - |V_H| + 1 and are all bounded, g = 0 and H has exactly
-    one other face.  Every other tile lies in it, so when the graph has a
-    tile that is not bounded, that face is not bounded, and the answer is
-    those tiles.  Every other case (H empty or disconnected, no tile that
-    is not bounded, a count that does not match) floods every tile
+    on the family balls, and O(|G|) otherwise.  Both short answers count
+    faces, and run only when H is connected and the graph has a tile that
+    is not bounded.  By Euler's formula a connected H has
+    |E_H| - |V_H| + 2 - 2g faces for some genus g >= 0.  A tree, with
+    2|V_H| - 2 darts, has one face, which holds every tile and so is not
+    bounded: the answer is no group, whether or not H is all of G, and no
+    tile is read.  Otherwise a tile whose darts all lie on H is a face of
+    H by itself.  When such tiles number |E_H| - |V_H| + 1 and are all
+    bounded, g = 0 and H has exactly one other face.  Every other tile
+    lies in it, so that face is not bounded, and the answer is those
+    tiles.  Every other case (H empty or disconnected, no tile that is not
+    bounded, a count that does not match) floods every tile
     (:func:`_flood_faces`).
     """
     inner = interior_vertices
-    if inner and g.has_open_tile:
-        head, tiles, into = g.dart_head, g.tiles, g.rotation_darts
+    head, tiles, into = g.dart_head, g.tiles, g.rotation_darts
+    if inner and g.has_open_tile \
+            and len(_reach(next(iter(inner)), into, head, inner)) == len(inner):
         darts = [d for v in inner for d in into[v] if head[d ^ 1] in inner]
-        if len(darts) == 2 * len(inner) - 2 and len(inner) < len(g.vertices) \
-                and len(_reach(next(iter(inner)), into, head, inner)) == len(inner):
+        if len(darts) == 2 * len(inner) - 2:
             return [], False
         counts: dict[int, int] = {}
         for t in map(g.dart_tile.__getitem__, darts):
             counts[t] = counts.get(t, 0) + 1
         singles = sorted(t for t, n in counts.items() if n == len(tiles[t].cycle))
         if 2 * len(singles) == len(darts) - 2 * len(inner) + 2 \
-                and all(tiles[t].status == BOUNDED for t in singles) \
-                and len(_reach(next(iter(inner)), into, head, inner)) == len(inner):
+                and all(tiles[t].status == BOUNDED for t in singles):
             return [[t] for t in singles], False
     return _flood_faces(g, inner)
 

@@ -20,14 +20,18 @@ entries, frontier vertices, true degrees and face reps are JSON integers
 (not floats or booleans); ``true_degree`` keys are decimal strings, each
 spelled exactly ``str(v)`` for a vertex ``v`` of the record ("00", " 0"
 and ids of no vertex are rejected as InputFormatError).
-Rotation lists are cyclic clockwise sequences; lengths are rational
-strings ("p/q" or decimal).  Integers, and the numerators and
-denominators of lengths, have at most ``sys.get_int_max_str_digits()``
-decimal digits (4,300 by default), so that every value can be written
-back; longer ones are InputFormatError, as is a record nested deeper than
-Python's recursion limit.  ``unbounded_face_reps`` names one directed
-edge ``[edge, head]`` lying on each unbounded face.  Everything else is
-order-insensitive.
+Rotation lists are cyclic clockwise sequences.  A length is a JSON
+integer or a string of one grammar, the same on every Python: after
+surrounding whitespace, an optional sign, then either p/q or a decimal
+with an optional exponent, all in ASCII digits ("1/4", "0.25", ".5",
+"2.5e-3").  Nothing else is a length: "1 /2", "1_000" and non-ASCII
+digits such as U+0663 are InputFormatError.  Integers, and the
+numerators and denominators of lengths, have at most
+``sys.get_int_max_str_digits()`` decimal digits (4,300 by default), so
+that every value can be written back; longer ones are InputFormatError,
+as is a record nested deeper than Python's recursion limit.
+``unbounded_face_reps`` names one directed edge ``[edge, head]`` lying on
+each unbounded face.  Everything else is order-insensitive.
 
 Files are written in the canonical form defined by :func:`canonical_json`,
 which reports share.

@@ -6,12 +6,10 @@ subgraphs by finite vertex sets.  Both are approached from above by
 canonical enumeration and from below by the curvature estimates.  One ESU
 routine (:mod:`esu`) serves both: it visits every connected vertex set
 once in an order fixed by the input, and connected edge subsets are the
-connected vertex sets of the line graph.  The one-node extensions of a
-set are visited in one batch before any of them is grown: the scan reads
-the set's running statistics and adds each candidate's share, so most
-sets cost one visitor call and no recursion.  The edge scan keeps its
-statistics with one degree rule, held as tables of the change each
-added edge makes.  The scans run in one process and in integers
+connected vertex sets of the line graph; ``esu._esu`` states how it
+batches the one-node extensions of a set and what a set costs.  The edge
+scan keeps its statistics with one degree rule, held as tables of the
+change each added edge makes.  The scans run in one process and in integers
 (lengths scaled by L, the lcm of their denominators; ratios
 cross-multiplied); each result builds one Fraction, for the smallest
 ratio with the lexicographically smallest witness, so results do not
@@ -595,8 +593,11 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
     ell_star and ell_min, where given, stand in for the observed ones and
     certify 2/ell* and the Cheeger interval.  A best certified lower bound
     above the best certified upper bound, such as a family's alpha > 0 on
-    a finite graph, is OutOfRange.  ``workers`` selects nothing, as in
-    :func:`alpha_upper_bruteforce`.
+    a finite graph, is OutOfRange.  ``alpha_exact`` is set by one rule:
+    the best certified lower and upper bounds are equal.  The finite case
+    and the reduction rule add their value at both ends, so each either
+    collapses the bracket through that rule or is refused.  ``workers``
+    selects nothing, as in :func:`alpha_upper_bruteforce`.
     """
     budget = budget or Budget()
     report = global_constants(g)
@@ -624,7 +625,6 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
     bounds.extend(family.bounds)
 
     if finite:
-        bracket.alpha_exact = Fraction(0)
         bounds.append(Bound(value=Fraction(0), provenance="closed_form",
                             side="lower", certified=True,
                             note="finite graph: the whole graph has empty boundary"))
@@ -646,7 +646,6 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
             cert_lowers = [b.value for b in bounds
                            if b.side == "lower" and b.certified]
             if any(v >= two_over for v in cert_lowers):
-                bracket.alpha_exact = two_over
                 bounds.append(Bound(value=two_over, provenance="reduction_exact",
                                     side="lower", certified=True,
                                     note="alpha_S >= 2/ell* forces alpha = 2/ell*"))
@@ -664,8 +663,7 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
             and bracket.best_lower > bracket.best_upper:
         raise OutOfRange("the best certified lower bound exceeds the best "
                          "certified upper bound")
-    if bracket.alpha_exact is None and bracket.best_lower is not None \
-            and bracket.best_lower == bracket.best_upper:
+    if bracket.best_lower is not None and bracket.best_lower == bracket.best_upper:
         bracket.alpha_exact = bracket.best_lower
 
     ell_min = family.ell_min if family.ell_min is not None else report.ell_min

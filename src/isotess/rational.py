@@ -4,19 +4,8 @@ Every graph quantity that is stored or reported (lengths, weights,
 perimeters, characteristic values, curvatures) is a `fractions.Fraction`.
 Hot loops work on the integer numerators and denominators instead and
 build one Fraction per result: :func:`scaled_sum` adds (numerator,
-denominator) pairs as ints over the lcm of their own denominators, and
-:func:`exact_sum` does the same for Fractions and normalises once.
-Measures are the one exception, and only on graphs whose L, the lcm of
-every edge-length denominator, has at most 64 bits.
-``MetricGraph.length_ints``, built on first use, then holds L and each
-edge's length times L as an int, so the measure of a selection is one int
-sum over L, normalised once.  On any other graph it holds each length's
-(numerator, denominator) ints, and a measure is a :func:`scaled_sum` like
-the rest: a longer L can have up to the sum of the digits of the distinct
-denominators, and a selection's own lcm is then mostly far shorter.
-Every other sum (perimeters, weights, characteristic values, the
-Gauss-Bonnet total, the degree-sum left-hand side) keeps the lcm of its
-own terms.
+denominator) pairs as ints over the lcm of their own denominators.
+Measures take their ints from ``MetricGraph.length_ints``.
 Unbounded tile perimeters are represented by ``INF`` (the float
 infinity), and every reciprocal taken through :func:`reciprocal` obeys
 the convention 1/inf == 0 exactly.
@@ -32,11 +21,13 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 INF = float("inf")
 
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+# the grammar of a rational string (parse_rational); group 1 is the exponent
+_RATIONAL = re.compile(r"[-+]?(?:[0-9]+/[0-9]+"
+                       r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?)")
 
 # A finite Fraction or the INF sentinel.
 Extended = Fraction | float
@@ -81,11 +72,6 @@ def scaled_sum(parts: Sequence[tuple[int, int]]) -> tuple[int, int]:
             merged.append(sums[-1])
         sums = merged
     return sums[0]
-
-
-def exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """The sum of ``values`` as one Fraction: :func:`scaled_sum`, normalised once."""
-    return Fraction(*scaled_sum([(x.numerator, x.denominator) for x in values]))
 
 
 class Surd:
@@ -208,7 +194,11 @@ def _too_long(n: int, limit: int) -> bool:
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse "p/q", a decimal string like "0.25", or an integer.
+    """Parse "p/q", a decimal string like "0.25" or "-1.5e3", or an integer.
+
+    A string, stripped of surrounding whitespace, must match the length
+    grammar of :mod:`isotess.interchange`, the same on every Python;
+    anything else is a ValueError, whatever ``Fraction`` would make of it.
 
     Python reads and writes ints of at most ``sys.get_int_max_str_digits()``
     decimal digits.  A string whose numerator or denominator would be
@@ -221,23 +211,19 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, bool):
-        raise ValueError(f"not a rational: {text!r}")
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if isinstance(text, str):
-        text = text.strip()
-        limit = _digit_limit()
-        if not limit:
-            return Fraction(text)
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent.group(1))) > 3 * limit:
-            raise ValueError("decimal exponent out of range")
-        value = Fraction(text)
-        if _too_long(value.numerator, limit) or _too_long(value.denominator, limit):
-            raise ValueError(f"numerator or denominator has more than {limit} digits")
-        return value
-    raise ValueError(f"not a rational: {text!r}")
+    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    limit = _digit_limit()
+    exponent = match.group(1)
+    if limit and exponent and abs(int(exponent)) > 3 * limit:
+        raise ValueError("decimal exponent out of range")
+    value = Fraction(match.group())
+    if limit and (_too_long(value.numerator, limit) or _too_long(value.denominator, limit)):
+        raise ValueError(f"numerator or denominator has more than {limit} digits")
+    return value
 
 
 def format_extended(x: Extended | Surd | None) -> str:

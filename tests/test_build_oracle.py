@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,7 +42,7 @@ from isotess.graphcore import (
     build_graph,
     trace_faces,
 )
-from isotess.rational import INF, exact_sum, parse_rational
+from isotess.rational import INF, parse_rational
 
 from conftest import k4_record, square_patch_record
 
@@ -228,8 +229,8 @@ def _oracle_build_graph(record) -> dict:
         elif touches:
             status, perimeter = INDETERMINATE, None
         else:
-            status, perimeter = BOUNDED, exact_sum([length[e] for e in edges])
-        tiles.append((idx, tuple(cycle), edges, len(edges), status, perimeter, touches))
+            status, perimeter = BOUNDED, sum((length[e] for e in edges), Fraction(0))
+        tiles.append((idx, tuple(cycle), edges, len(edges), status, perimeter))
 
     return {"rotation": rotation, "edge_ends": edge_ends, "frontier_vertices": frontier,
             "true_degree": true_degree, "length": length, "tiles": tiles,
@@ -255,7 +256,7 @@ def _fields(g: MetricGraph) -> dict:
         "true_degree": g.true_degree,
         "length": g.length,
         "tiles": [(t.index, tuple(_pair(g, d) for d in t.cycle), t.edges, t.degree,
-                   t.status, t.perimeter, t.touches_frontier) for t in g.tiles],
+                   t.status, t.perimeter) for t in g.tiles],
         "dart_tile": {_pair(g, d): t for d, t in enumerate(g.dart_tile)},
         "vertices": g.vertices,
         "edges": g.edges,

@@ -546,13 +546,18 @@ def test_gen_invalid_params_exit(tmp_path, capsys):
     # a length Python could read but not write back: over the digit limit
     lambda r: r["edges"][0].update(length="1e-999999"),
     lambda r: r["edges"][0].update(length="1e-4300"),
+    # one grammar on every Python, whatever its Fraction accepts
+    lambda r: r["edges"][0].update(length="1 /2"),
+    lambda r: r["edges"][0].update(length="1_000"),
+    lambda r: r["edges"][0].update(length="\u0663"),
 ], ids=["no-rotation", "id-not-int", "no-vertices", "true-degree-not-int",
         "short-face-rep", "three-ends", "no-length", "vertex-id-float",
         "edge-id-float", "rotation-floats", "edge-end-bool", "true-degree-float",
         "length-bool-after-str", "length-float-after-str", "length-bool-after-int",
         "length-float-after-int", "true-degree-unknown-vertex",
         "true-degree-key-underscore", "true-degree-key-leading-zero",
-        "length-exponent-over-digit-limit", "length-denominator-over-digit-limit"])
+        "length-exponent-over-digit-limit", "length-denominator-over-digit-limit",
+        "length-space-before-slash", "length-underscore", "length-arabic-indic-digit"])
 def test_malformed_record_exit_code(tmp_path, capsys, mutate):
     record = k4_record()
     mutate(record)

@@ -254,7 +254,6 @@ def test_frontier_tiles_are_never_bounded(name):
     g = build_graph(GRAPHS[name]())
     for t in g.tiles:
         touches = any(g.dart_head[d] in g.frontier_vertices for d in t.cycle)
-        assert t.touches_frontier == touches, (name, t.index)
         if touches:
             assert t.status != BOUNDED, (name, t.index)
 

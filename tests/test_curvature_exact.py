@@ -95,7 +95,7 @@ def _reference_char_values(g, weights):
             continue
         value = Fraction(1) / g.length[e] - Fraction(1) / weights[a] - Fraction(1) / weights[b]
         for dart in g.darts_of(e):
-            tile = g.tile_of(dart)
+            tile = g.tiles[g.dart_tile[dart]]
             if tile.status == INDETERMINATE:
                 value = None
                 break
@@ -110,7 +110,7 @@ def _reference_kappa(g, v):
         return None
     value = Fraction(1) - Fraction(g.degree(v), 2)
     for e in g.rotation[v]:
-        tile = g.tile_of(g.dart(e, v))
+        tile = g.tiles[g.dart_tile[g.dart(e, v)]]
         if tile.status == INDETERMINATE:
             return None
         if tile.status == BOUNDED:
@@ -177,7 +177,7 @@ def _reference_degsum(g, sel, report):
     cut_sides = 0
     for e in interior:
         for dart in g.darts_of(e):
-            tile = g.tile_of(dart)
+            tile = g.tiles[g.dart_tile[dart]]
             if tile.status != BOUNDED or not tile.edges <= interior:
                 cut_sides += 1
     inv_p = Fraction(0) if report.P == INF else Fraction(1) / report.P

@@ -8,9 +8,8 @@ star-like selection can enclose a face of several tiles; the flood must
 then run, and agree with the union-find oracle of
 ``tests/test_closure_local.py``, as it must for a disconnected interior
 graph whose tile count matches that of a connected one.  When the
-interior graph is a tree other than the whole graph, the pass answers
-without reading any tile; a finite tree record, whose interior graph can
-be the whole graph, must still count and flood.
+interior graph is a tree, the whole graph of a finite tree record
+included, the pass answers without reading any tile.
 """
 
 from __future__ import annotations
@@ -163,9 +162,10 @@ def test_random_tree_interiors_read_no_tile(random_tessellation, seed):
     _assert_tree_shortcut(g, _tree_interiors(g, 3), seed)
 
 
-def test_whole_graph_tree_counts_and_floods(monkeypatch):
+def test_whole_graph_tree_reads_no_tile(monkeypatch):
     # the path 0 - 1 - 2 - 3 with one face, declared unbounded: with every
-    # vertex interior, H is all of G and that face's cycle lies on H
+    # vertex interior, H is all of G, and as a tree it still has one face,
+    # which holds every tile, so the pass answers as for any other tree
     record = {
         "vertices": [{"id": 0, "rotation": [0]}, {"id": 1, "rotation": [0, 1]},
                      {"id": 2, "rotation": [1, 2]}, {"id": 3, "rotation": [2]}],
@@ -174,18 +174,8 @@ def test_whole_graph_tree_counts_and_floods(monkeypatch):
     }
     g = build_graph(record)
     assert len(g.tiles) == 1
-    flood = graphcore._flood_faces
-    floods = []
-
-    def counted_flood(g, inner):
-        floods.append(inner)
-        return flood(g, inner)
-
-    monkeypatch.setattr(graphcore, "_flood_faces", counted_flood)
+    monkeypatch.setattr(graphcore, "_flood_faces", _no_flood)
+    unread = dataclasses.replace(g, dart_tile=_Unread())
     for inner in (frozenset(g.vertices), frozenset({1, 2}), frozenset({0})):
-        got = graphcore._bounded_faces(g, inner)
-        assert got == _bounded_faces_reference(g, inner), sorted(inner)
-    assert floods == [frozenset(g.vertices)]
-    with pytest.raises(AssertionError, match="read the tile"):
-        graphcore._bounded_faces(dataclasses.replace(g, dart_tile=_Unread()),
-                                 frozenset(g.vertices))
+        assert _bounded_faces_reference(g, inner) == ([], False), sorted(inner)
+        assert graphcore._bounded_faces(unread, inner) == ([], False), sorted(inner)
