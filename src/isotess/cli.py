@@ -14,10 +14,11 @@ only `faces` and `curvature` write their own results, quantity by quantity
 with `reports.value_json`.  Generator commands write interchange files;
 `witness` loads its optional input the same way.  A command takes no flag
 that only another command reads, but not every flag it takes changes its
-result: bounds and comb-alpha accept ``--budget-edges`` and echo it in
-the budget without reading it, and alpha and compare accept ``--workers``,
-though enumeration runs in one process.  So identical inputs and budgets
-produce byte-identical reports.
+result: bounds and comb-alpha accept ``--budget-edges``, and alpha
+``--budget-generators``, and echo it in the budget without reading it,
+and alpha and compare accept ``--workers``, though enumeration runs in
+one process.  So identical inputs and budgets produce byte-identical
+reports.
 
 `main` pauses Python's cyclic garbage collector while a command runs and
 restores the caller's setting afterwards.  Reference counting frees what a

@@ -43,12 +43,16 @@ from .graphcore import (
     complete_closure,
     subgraph_stats,
 )
-from .rational import INF, Extended, Surd, scaled_sum
+from .rational import INF, Extended, Surd, _digit_limit, _too_long, scaled_sum
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Enumeration limits: subgraph edge count, generator vertices, hard cap."""
+    """Enumeration limits: ``max_edges`` for the edge scan of
+    :func:`alpha_bracket`, ``max_generators`` for the star-like pass of
+    :func:`lower_bounds` and the vertex scan of
+    :func:`alpha_comb_upper_bruteforce`, and ``max_yield``, the hard cap
+    on the sets any one scan visits."""
 
     max_edges: int = 6
     max_generators: int = 4
@@ -485,29 +489,44 @@ def alpha_comb_upper_bruteforce(g: MetricGraph, budget: Budget) -> CombUpperResu
 # lower bounds and bracket assembly
 # ---------------------------------------------------------------------------
 
-def lower_bounds(g: MetricGraph, report: CurvatureReport | None = None,
-                 budget: Budget | None = None,
-                 total_measure: Fraction | None = None) -> list[Bound]:
-    """Observed lower bounds from the curvature constants.
+def _lower(value: Fraction, provenance: str, certified: bool, note: str) -> Bound:
+    """A lower bound on alpha.  An uncertified value with more digits than
+    Python writes is not available instead: its value is 0, the lower
+    bound that always holds, and its note gives the reason."""
+    limit = _digit_limit()
+    if not certified and limit and any(_too_long(n, limit) for n in value.as_integer_ratio()):
+        value, note = Fraction(0), f"not available: value longer than {limit} digits"
+    return Bound(value=value, provenance=provenance, side="lower",
+                 certified=certified, note=note)
 
-    Emits c*/K and c* when positive, the empirical averaged-curvature
-    statistic, and 2/mes(G) when a finite total measure is declared for an
-    infinite graph.  Entries are certified only on data that determines
-    the true constants; truncation values are observed.
+
+def _curvature_bounds(g: MetricGraph, report: CurvatureReport) -> list[Bound]:
+    """c_*/K and c_* when c_* > 0, certified only on a finite graph, whose
+    constants are exact; a truncation's are observed."""
+    c, K = report.c_star, report.K
+    if c is None or c <= 0:
+        return []
+    certified = g.is_frontier_free
+    out = []
+    if K and K > 0:
+        out.append(_lower(c / K, "cK_lower", certified, "alpha >= c_*/K (requires c_* > 0)"))
+    out.append(_lower(c, "cstar_lower", certified, "alpha >= c_*"))
+    return out
+
+
+def lower_bounds(g: MetricGraph, budget: Budget | None = None) -> list[Bound]:
+    """The lower bounds of the ``bounds`` command.
+
+    Those of the curvature constants of ``g`` (:func:`_curvature_bounds`),
+    then ``est01_empirical``: min(2/ell*, the least average of c(e)|e|
+    over mes(S)) over the star-like complete subgraphs S of at most
+    ``budget.max_generators`` generators.  That statistic is never
+    certified, so no bracket reads it, and it is left out when no
+    subgraph is averaged, as when the scan passes ``budget.max_yield``
+    sets.
     """
-    if report is None:
-        report = global_constants(g)
-    certified = g.is_frontier_free  # finite graph: constants are exact
-    out: list[Bound] = []
-
-    if report.c_star is not None and report.c_star > 0 and report.K and report.K > 0:
-        out.append(Bound(value=report.c_star / report.K, provenance="cK_lower",
-                         side="lower", certified=certified,
-                         note="alpha >= c_*/K (requires c_* > 0)"))
-    if report.c_star is not None and report.c_star > 0:
-        out.append(Bound(value=report.c_star, provenance="cstar_lower",
-                         side="lower", certified=certified,
-                         note="alpha >= c_*"))
+    report = global_constants(g)
+    out = _curvature_bounds(g, report)
 
     budget = budget or Budget()
     try:
@@ -536,16 +555,9 @@ def lower_bounds(g: MetricGraph, report: CurvatureReport | None = None,
             averaged += 1
     if averaged:
         value = min(Fraction(2) / report.ell_star, Fraction(best_num, best_den))
-        out.append(Bound(value=value, provenance="est01_empirical",
-                         side="lower", certified=False,
-                         note=f"min(2/ell*, averaged curvature over "
-                              f"{averaged} star-like complete subgraphs)"))
-
-    if total_measure is not None:
-        out.append(Bound(value=Fraction(2) / total_measure,
-                         provenance="estvol_lower", side="lower", certified=True,
-                         note="alpha >= 2/mes(G) for infinite graphs of "
-                              "finite total measure"))
+        out.append(_lower(value, "est01_empirical", False,
+                          f"min(2/ell*, averaged curvature over "
+                          f"{averaged} star-like complete subgraphs)"))
     return out
 
 
@@ -596,8 +608,12 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
     a finite graph, is OutOfRange.  ``alpha_exact`` is set by one rule:
     the best certified lower and upper bounds are equal.  The finite case
     and the reduction rule add their value at both ends, so each either
-    collapses the bracket through that rule or is refused.  ``workers``
-    selects nothing, as in :func:`alpha_upper_bruteforce`.
+    collapses the bracket through that rule or is refused.  The lower
+    bounds of the curvature constants join too; the star-like pass of
+    :func:`lower_bounds` does not run, since its est01 statistic is never
+    certified and cannot move the bracket, so ``budget.max_generators``
+    is not read.  ``workers`` selects nothing, as in
+    :func:`alpha_upper_bruteforce`.
     """
     budget = budget or Budget()
     report = global_constants(g)
@@ -621,7 +637,7 @@ def alpha_bracket(g: MetricGraph, budget: Budget | None = None,
         bounds.append(Bound(value=INF, provenance="bruteforce_upper", side="upper",
                             certified=False, note=f"not available: {exc}"))
 
-    bounds.extend(lower_bounds(g, report=report, budget=budget))
+    bounds.extend(_curvature_bounds(g, report))
     bounds.extend(family.bounds)
 
     if finite:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from isotess import cli
+from isotess import cli, isoperimetry
 from isotess.cli import main
 from isotess.interchange import canonical_json, save
 from isotess.rational import parse_rational
@@ -345,20 +345,61 @@ def test_lengths_outside_float_range(tmp_path, capsys, lengths):
 def test_report_value_digit_limit(tmp_path, capsys):
     # each length has 1,401 digits, but the vertex weights and characteristic
     # values sum reciprocals over the lcm of several of them: a report value
-    # Python could not write is a failed precondition (exit 2)
+    # Python could not write is a failed precondition (exit 2), but for an
+    # uncertified bound, which is not available instead: bounds holds only
+    # est01 past the limit, alpha a certified bruteforce_upper
     record = k4_record()
     for item, k in zip(record["edges"], (1, 3, 7, 9, 13, 19)):
         item["length"] = f"1/{10**1400 + k}"
     path = tmp_path / "k4.json"
     save(record, path)
     for command, code in (("validate", 0), ("faces", 0), ("gauss-bonnet", 0),
-                          ("comb-alpha", 0), ("curvature", 2), ("bounds", 2),
+                          ("comb-alpha", 0), ("curvature", 2), ("bounds", 0),
                           ("alpha", 2), ("compare", 2)):
         assert run([command, str(path)]) == code, command
         out, err = capsys.readouterr()
         assert "Traceback" not in err, command
         if code == 2:
             assert "OutOfRange" in err and not out, command
+        if command == "bounds":
+            limit = sys.get_int_max_str_digits()
+            assert _bound_notes(json.loads(out)["result"]) == {
+                "est01_empirical": f"not available: value longer than {limit} digits"}
+
+
+def _bound_notes(bracket: dict) -> dict:
+    """provenance -> note of the bounds of value "0" that are not certified."""
+    return {b["provenance"]: b["note"] for b in bracket["bounds"]
+            if b["value"] == "0" and not b["certified"]}
+
+
+def test_uncertified_bound_past_digit_limit_not_available(tmp_path, capsys):
+    # pq(7,3) r2 with no family block and edge k of length (D - 1)/D, D =
+    # 10^400 + 2k + 1: the observed c_*/K and c_* and the est01 average
+    # have more digits than Python writes, and each is not available
+    # (value 0, not certified) where every command exited 2 after all its
+    # work; the certified bounds are written as computed
+    path = tmp_path / "pq73r2.json"
+    assert run(["gen", "pq", "--p", "7", "--q", "3", "--radius", "2",
+                "--output", str(path)]) == 0
+    record = read(path)
+    del record["family"]
+    for k, item in enumerate(record["edges"]):
+        d = 10 ** 400 + 2 * k + 1
+        item["length"] = f"{d - 1}/{d}"
+    save(record, path)
+    capsys.readouterr()
+    note = f"not available: value longer than {sys.get_int_max_str_digits()} digits"
+    observed = {"cK_lower": note, "cstar_lower": note}
+    for command, want in (("bounds", {**observed, "est01_empirical": note}),
+                          ("alpha", observed), ("compare", observed)):
+        assert run([command, str(path)]) == 0, command
+        result = json.loads(capsys.readouterr().out)["result"]
+        bracket = result["alpha"] if command == "compare" else result
+        assert _bound_notes(bracket) == want, command
+        if command != "bounds":
+            brute = [b for b in bracket["bounds"] if b["provenance"] == "bruteforce_upper"]
+            assert brute[0]["certified"] and brute[0]["witness"], command
 
 
 @pytest.mark.parametrize("length", ["1e-400", "1/2", "2"])
@@ -780,9 +821,9 @@ REPORT_DIGESTS = {
         "curvature": (0, "1b3a78c5e252905dd05d4848558cdb86615fc88e8976b934ceb97b627006f442"),
         "gauss-bonnet": (0, "e756893b8b92a3c807ea30aebeef8fabb2addb939c4d17cace1b3647c4b9c3cd"),
         "bounds": (0, "6df0b9ec7c5e2dee41af7b1c119c42e7092bfad81efda286a9ebc6baba8eb1f7"),
-        "alpha": (0, "5618309484fea1d33f8d5b931aba326751d4ec021798589bf23262c0ac30f431"),
+        "alpha": (0, "b10885562d2f29155099b59d4e5d3f794f640d0f13648818c636e406fbc0686d"),
         "comb-alpha": (0, "123bbf173020abaec0e24a4d3453c724d22d837f11412f86bd7ed6619e78ab0d"),
-        "compare": (0, "4fced93126cc878ad6c919ccf4c6121f0fcd09f758bd59f22bddde9318f89ab1"),
+        "compare": (0, "1d03e6006c98ddb3cbb19017ed4809d03026bdf479396bce93f96aa40f2574fd"),
     },
     "W4": {
         "validate": (0, "3924a69425d7ecaf22646439b74e662d049b90858d0850c9edcbe40e1a61f187"),
@@ -790,9 +831,9 @@ REPORT_DIGESTS = {
         "curvature": (0, "f4e2ac099142c49d29d2cba554c3ebd5b41544c9cfa9da8c5221cc895eeb7ee6"),
         "gauss-bonnet": (0, "7540bdd6a8d6cf9f702628a39615abf181df7e8bc74681939c11fba6ce63b318"),
         "bounds": (0, "f7f3b4f823f9b451434efec121a75c7c22d7b011e34b43b2c96906797659f677"),
-        "alpha": (0, "08163aa5886fe4f941facc647502c46170e1e39488b787749f0de2d366b7e624"),
+        "alpha": (0, "13edb6e9be85de2185fb976e60c2d4636ace97060310bfc969cca971eea8fd68"),
         "comb-alpha": (0, "c4ddb243f3849ca7652906548f294234176bae740a7467e9d2f0797d480fad37"),
-        "compare": (0, "f65ce90973023db986b8cd558314ea2ca89f144e39527ee108621334af8ddc94"),
+        "compare": (0, "262717bb56c6ebfbafda03859bbe736cb083e28a9291309851da46eba522be8d"),
     },
     "W5": {
         "validate": (0, "e79fb28a6595a8fb2526865313011fc6ce10c4441d1ffd043a0a8253c4bd8863"),
@@ -800,9 +841,9 @@ REPORT_DIGESTS = {
         "curvature": (0, "8e63e149350a6f359724de4fef29d6835c90d8e86997b7d83645d7c7094dc986"),
         "gauss-bonnet": (0, "9ea0ef030a0682b42861611cfb07ceae7595b07dc05d5c89d41ee0e66ebff1e3"),
         "bounds": (0, "26cce2e495ee62c2c855cc918091c7ee8854cec17a972d889364a510c329df2f"),
-        "alpha": (0, "67425e487271cfbed107362b5372a855e36d7ed3a0e7c19123e63b1eba057f34"),
+        "alpha": (0, "dee18099e50d9f123c6714910efefe5bfc9daeda7850ecfcc080ca30d57bea82"),
         "comb-alpha": (0, "ff7b8203d8b84e2abd03ed58180b9e7de072bbb16bbd61f145d43e86fa879bc9"),
-        "compare": (0, "52e4d6740e732b2d49b094d03e8a516869122ef95d6dd618376be2f68f5b7ffd"),
+        "compare": (0, "bec9f09fe733a94e49fb7d298a8f1a2b5ad2fe6377fbed5f3e0005436caf1d80"),
     },
     "W6": {
         "validate": (0, "319a8e6d566bee157d24d1ddda962904accb7c3cad71246977f1923c408ef678"),
@@ -810,9 +851,9 @@ REPORT_DIGESTS = {
         "curvature": (0, "8bc71374863846fa2267ee72f1b882c5257327bc13d2416e788ee095a0326a90"),
         "gauss-bonnet": (0, "4f498379b23f802c81b14f209968178a6bd0c1127a88bc501474a0964d8fc448"),
         "bounds": (0, "931391373e047341ae14d088df802b47c5035c9b506690dc14fb99653df3e86c"),
-        "alpha": (0, "6f1375f0ed7db8b81170cf8acaf3ac26d10a6c355489892cbf3f97a40d69103a"),
+        "alpha": (0, "965798e2949d052da57e87abd3647cf6e45f76b3a9cefb57251e66f01648e2af"),
         "comb-alpha": (0, "5d0abe2e1d6316ad713fff9db6ee8b7d3623a35f106c2d9e246db43f856453b9"),
-        "compare": (0, "34490519c5f50abe8f7d3b48d00e784724bdcca16f9f1597a82a704dacc7ac11"),
+        "compare": (0, "b8446262ccc7c80d476f693d109848d06f6d9261f831b092401b28ab20eb2a93"),
     },
     "trihex": {
         "validate": (0, "23dcc173f3c3a4de00bea150a00f5a44397388a70ceb5211c57d7f976460fc2d"),
@@ -820,9 +861,9 @@ REPORT_DIGESTS = {
         "curvature": (0, "652fc923aca475dc6d23124124b162ea01290bfe1e28bebaa4f1aede0bbea1b4"),
         "gauss-bonnet": (0, "dbd8930d9a23137af582b41278c8bcdba074cb121aa0374d44c1a1619c142d67"),
         "bounds": (0, "233c0451792703bac741e1c992d924a5583211d59f5545cacfff0e1d122b8c73"),
-        "alpha": (0, "5128a775e301b51d50084e3cbb6edcf7861aef7d6807e103c77328094c63a349"),
+        "alpha": (0, "a7c66542d1f49db8642666f0266a9482a91dd1e6fd9e78ab2f987d6678881d2f"),
         "comb-alpha": (0, "07d90df07456c57a6243c142e1ecc2aff54fa81b04d81651de078f43adddfb0b"),
-        "compare": (0, "79bc204582cba0d15152d46bdbc75da19134fd16c47bf7aa821c4bb5f2b24b84"),
+        "compare": (0, "da97b27c92ffc3823951ec97af9ec7c544f1a53a8329c6aa027f8ddb0ceadfb4"),
     },
     "tri": {
         "validate": (2, "1a16c746503039932dd4a95c35dea881a71989ecbe4128f73bc19c6b218fc033"),
@@ -830,9 +871,9 @@ REPORT_DIGESTS = {
         "curvature": (0, "5067d1f7dc7d9938e5c4390f78d3eed25222e4ecd4199bc231bbb07026665211"),
         "gauss-bonnet": (2, "e60e8a966dbcc0b3783eb7dda2cc9fe6b36267a764832d652128e2749b2c94d8"),
         "bounds": (0, "85f71c591d0d66fb0905784b9c9a90306ebc4055925c7f050e464a02e81d47b2"),
-        "alpha": (0, "f85dc034b876989ca7f5c803e0ef865b1ddecf4f93ac681c54a63b095ab2dbfb"),
+        "alpha": (0, "357b7704c41dd3319837f934534fa491b48e4f8074b157a2e50f28103a37584c"),
         "comb-alpha": (0, "5a204416dab2a184fc6e4cc8ef13a3a9f3642acc404b9b1be9d441e5a9ca93a5"),
-        "compare": (0, "41cc7524acf15ce2c270f746dae2568c9fcf0b171028831ad1431209a72a5e27"),
+        "compare": (0, "4895b475688665029358183ce05bddc12ca9e02253a1230b84f357c712fb3e0a"),
     },
     "pq44r2": {
         "validate": (0, "3c6c93785f335f68b04b0d2977017477cde6d2e5d0d22c76c7eab1dc5a2a4731"),
@@ -860,9 +901,9 @@ REPORT_DIGESTS = {
         "curvature": (0, "8518179262db4d79eebce5766f92cc0b6fcd05f507ecbbf1f0b8e8a4623ba7f3"),
         "gauss-bonnet": (2, "a6fe05957616208365b83858b4371e7dc2010dc63f4b9ce05171b30509f1be92"),
         "bounds": (0, "aa587eef593e3e6615aecf6d3062b7ec35f8ea66ea524090ca23d637dc9e4fea"),
-        "alpha": (0, "6aeec7e6f3ddcbeef4b1789ce753ccb65a726654d591df286870a9bc97205e99"),
+        "alpha": (0, "d8fc7e966a3a66338eaef0779124d42d142ddd10e22e8f3778f794a1c66ca8c0"),
         "comb-alpha": (0, "c578e398e6ce165ee21e4cc794b3f97d14e4a7749e6970970b15f15061bfd63e"),
-        "compare": (0, "2740ca3a9252689fd2039cda4ec48dc485a4ccc7d3d0fafe98abd29db327d449"),
+        "compare": (0, "0a9599aae6e10075051a1e6c02921e1eb7992f34a7fe5ec55c1ed582d022c11f"),
     },
     "gk3": {
         "validate": (0, "8489d19a257e3c27b44ae858ecb718e9757b850df6452bedbf0dd83783cab50c"),
@@ -870,9 +911,9 @@ REPORT_DIGESTS = {
         "curvature": (0, "9bbb33e0f9d961b8a4608db842085fd0d0324fb2006d610ff68fed2629e9941c"),
         "gauss-bonnet": (2, "65c5134d004f7a6309f13f543955e020dfc23df345ff9aa0c5ea493bc29a63f8"),
         "bounds": (0, "2bfd72a498585a1dff7ab80c9dcc0bfa44ad53439099c7ad7c6e7d9f45e22635"),
-        "alpha": (0, "e5e200b50bb1b75987edd2f2766aaac07106ff27fde10515b173e084da013868"),
+        "alpha": (0, "0664f48ef07abc89fa47bafcc8fd4c162f35a605dac8fce21dd0e8c295935934"),
         "comb-alpha": (0, "81c41b9cb52b9b946b90016f5a5c9b12b21bea49432d94cfc1c12109bff862d8"),
-        "compare": (0, "3ee1738db3c0a224066950ad5dbb66257421e5a08d3b498f79721ca4f8a2fb13"),
+        "compare": (0, "823673bdde3817aa3aa6e5cf7d42fbeb418fac2a3a70c881eac95771c44ca803"),
     },
     # seeded rational lengths, decimal strings among them (_relength)
     "W5-rational": {
@@ -895,9 +936,9 @@ REPORT_DIGESTS = {
         "curvature": (0, "6002b4392e6ec96cd09f84608e9ffd28ad6fcfbf887b7b2f14046cbb9ba0710d"),
         "gauss-bonnet": (2, "c0e6c92832aaddeed821091e50178837ff53d27fa0ea77ad291aa395b974d231"),
         "bounds": (0, "39de64e0189635696fb8ecfb35c167deb93a69000d685ac14afc43cee8b8435c"),
-        "alpha": (0, "f4bee474f0a11f04f33876771354fc9e813573ef3665b3a2898813b0a11de05b"),
+        "alpha": (0, "ead228073323a4ed3a08a801c53f51905dde2df0d977708e8bbae579cd1d9eef"),
         "comb-alpha": (0, "9eeaa0c9d7f564a6f2c0a7601cf4a8c4c206922bd12e1d5902bdd0803c5c8d53"),
-        "compare": (0, "71df2aeed4794f03c778e1d8df13411ef5a1f7ac754644530ff2f3d3cd7e5aef"),
+        "compare": (0, "5d3714b196ae6d5932615e8ff034beeea6b5b4b59be796cbcc6caa07c78fd602"),
     },
 }
 
@@ -963,6 +1004,36 @@ def test_report_digests_pinned(pinned_inputs, capsys, name):
         assert canonical_json(parsed) + "\n" == text, command
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text, command
     assert got == REPORT_DIGESTS[name]
+
+
+def test_alpha_holds_every_bound_of_bounds_but_est01(pinned_inputs, monkeypatch, capsys):
+    # alpha and compare run no star-like pass: every other lower bound that
+    # bounds reports appears verbatim in alpha's bracket, and est01 in neither
+    argv = ["--budget-edges", "3", "--budget-generators", "2"]
+    names = [name for name, codes in REPORT_DIGESTS.items()
+             if codes.get("bounds", (1,))[0] == codes.get("alpha", (1,))[0] == 0]
+    assert len(names) == 11
+    capsys.readouterr()
+    bounds = {}
+    for name in names:
+        assert main(["bounds", str(pinned_inputs[name]), *argv]) == 0
+        bounds[name] = json.loads(capsys.readouterr().out)["result"]["bounds"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("alpha ran the star-like pass")
+
+    monkeypatch.setattr(isoperimetry, "enumerate_starlike_complete", refuse)
+    for name in names:
+        brackets = []
+        for command in ("alpha", "compare"):
+            assert main([command, str(pinned_inputs[name]), *argv]) == 0, name
+            result = json.loads(capsys.readouterr().out)["result"]
+            brackets.append(result["alpha"] if command == "compare" else result)
+        for bracket in brackets:
+            assert not [b for b in bracket["bounds"]
+                        if b["provenance"] == "est01_empirical"], name
+            assert all(b in bracket["bounds"] for b in bounds[name]
+                       if b["provenance"] != "est01_empirical"), name
 
 
 # sha256 of the witness and gen reports.  ``gk3`` stands for the pinned

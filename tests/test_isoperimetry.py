@@ -502,13 +502,6 @@ def test_equilateral_transform():
         equilateral_transform(Fraction(3, 2))
 
 
-def test_estvol_bound_for_declared_finite_measure():
-    g = build_graph(gen_pq_ball(PQParams(3, math.inf), 2))
-    bounds = {b.provenance: b for b in lower_bounds(g, total_measure=Fraction(10))}
-    assert bounds["estvol_lower"].value == Fraction(1, 5)
-    assert bounds["estvol_lower"].certified
-
-
 def test_pq_bracket_consistency_with_closed_forms():
     # curvature lower bound <= alpha <= brute-force upper, on truncations
     from isotess.families import closed_forms_pq

@@ -3,7 +3,10 @@
 Multiplying every edge length by a rational t > 0 divides c(e), c_* and
 the brute-force upper bound on alpha by t and multiplies ell* and ell_min
 by t, while M, P, K, kappa(v), the Gauss-Bonnet total and the brute-force
-witness and subgraph count do not move.  On both graphs every certified
+witness and subgraph count do not move.  w(e) = c(e)|e| does not move
+either, while mes(S) and ell* are multiplied by t, so est01, the least
+average of w over mes(S) capped at 2/ell*, is divided by t and averages
+the same star-like subgraphs.  On both graphs every certified
 lower bound of the bracket is at most every certified upper bound.  The
 tessellations come from ``bench/inputs.py::random_tessellation`` (the
 ``random_tessellation`` fixture of conftest.py).  A failure names its seed;
@@ -19,7 +22,7 @@ import pytest
 
 from isotess.curvature import gauss_bonnet_check, global_constants
 from isotess.graphcore import build_graph
-from isotess.isoperimetry import Budget, alpha_bracket, alpha_upper_bruteforce
+from isotess.isoperimetry import Budget, alpha_bracket, alpha_upper_bruteforce, lower_bounds
 
 SEEDS = [f"scale-{i}" for i in range(50)]
 BUDGET = Budget(max_edges=3)
@@ -63,5 +66,10 @@ def test_length_scaling(random_tessellation, seed):
     assert scaled.bound.value == base.bound.value / t, seed
     assert scaled.bound.witness == base.bound.witness, seed
     assert scaled.enumerated == base.enumerated, seed
+
+    est, scaled_est = ([b for b in lower_bounds(x, budget=BUDGET)
+                        if b.provenance == "est01_empirical"] for x in (g, h))
+    assert len(est) == 1, seed
+    assert (scaled_est[0].value, scaled_est[0].note) == (est[0].value / t, est[0].note), seed
 
     assert _bracket_ordered(g) and _bracket_ordered(h), seed

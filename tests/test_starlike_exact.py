@@ -170,7 +170,7 @@ def _check_graph(g, seed: str, budget: Budget, monkeypatch) -> None:
         assert _fields(a) == _fields(b), (seed, k)
 
     report = global_constants(g)
-    est = _est01(lower_bounds(g, report=report, budget=budget))
+    est = _est01(lower_bounds(g, budget=budget))
     ref = _reference_est01(g, report, want)
     assert est == ref, seed
     if est is not None:
